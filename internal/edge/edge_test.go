@@ -1,6 +1,11 @@
 package edge
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"math"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,10 +263,21 @@ func TestWireEdgeBatchFIFOAcrossRedial(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Kill the gated worker mid-batch (its blocked tuples drop
-	// unrecorded) and bring an ungated replacement up on the address.
-	close(h1.abort)
-	if err := w1.Close(); err != nil {
+	// Kill the gated worker mid-batch and bring an ungated replacement
+	// up on the address. The connection drops first and the gate opens
+	// only once the sender has noticed: opened earlier, the dying worker
+	// would absorb and ack the rest of the stream before its sockets
+	// close, and nothing would be left to redial for.
+	closed := make(chan error, 1)
+	go func() { closed <- w1.Close() }()
+	for e.Stats().Retries == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sender never noticed the dropped connection")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(h1.abort) // the blocked tuples drop unrecorded
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	h2 := &seqRecorder{}
@@ -538,3 +554,107 @@ func (r *recordingHandler) HandleMark(m wire.Mark) {
 	r.inner.HandleMark(m)
 }
 func (r *recordingHandler) HandleQuery(q wire.Query) wire.Reply { return r.inner.HandleQuery(q) }
+
+// lateAckWorker serves one connection the way a busy transport.Worker
+// does: it has read only the head of the stream when the sender is
+// already done, so its acks go out after the sender called Close — and,
+// like the real worker, it gives the connection up, unread frames and
+// all, when an ack cannot be written. It returns the tuples it absorbed
+// and whether it saw the final mark.
+func lateAckWorker(conn net.Conn) (tuples int, final bool, err error) {
+	defer conn.Close()
+	r := bufio.NewReaderSize(conn, 64)
+	var buf []byte
+	for {
+		kind, p, rerr := wire.ReadFrame(r, buf)
+		if rerr == io.EOF {
+			return tuples, final, nil
+		}
+		if rerr != nil {
+			return tuples, final, rerr
+		}
+		buf = p
+		switch kind {
+		case wire.KindTuple:
+			tuples++
+			if tuples == 1 {
+				time.Sleep(2 * time.Millisecond) // the sender finishes and closes
+			}
+			if tuples%8 == 1 {
+				// The first of these lands on the sender's socket after its
+				// Close; had that socket been closed outright, the reset it
+				// draws fails the next one.
+				ack := wire.AppendAck(nil, wire.Ack{Count: int64(tuples)})
+				if _, werr := conn.Write(ack); werr != nil {
+					return tuples, final, fmt.Errorf("ack after %d tuples: %w", tuples, werr)
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		case wire.KindMark:
+			m, derr := wire.DecodeMark(p)
+			if derr != nil {
+				return tuples, final, derr
+			}
+			final = final || m.Final()
+		}
+	}
+}
+
+// TestWireCloseDeliversTail: Close must not cost the stream its tail.
+// Every cycle dials a worker whose acks run late, sends a short stream
+// and the final mark, and closes at once; the worker must still see
+// every tuple and the mark. Closing the socket with acks outstanding
+// fails this: the late ack draws a reset and the node loses what it had
+// not read.
+func TestWireCloseDeliversTail(t *testing.T) {
+	const cycles, tuples = 200, 40
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type outcome struct {
+		tuples int
+		final  bool
+		err    error
+	}
+	served := make(chan outcome, 1)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed: the test is over
+			}
+			n, final, err := lateAckWorker(conn)
+			served <- outcome{n, final, err}
+		}
+	}()
+	for c := 0; c < cycles; c++ {
+		e, err := DialWire([]string{ln.Addr().String()}, WireOptions{Seed: 1, MaxBatchTuples: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tup := wire.Tuple{Key: "tail"}
+		for i := 0; i < tuples; i++ {
+			tup.KeyHash = uint64(i + 1)
+			if err := e.SendTuple(&tup); err != nil {
+				t.Fatalf("cycle %d: send: %v", c, err)
+			}
+		}
+		if err := e.Watermark(0, math.MaxInt64); err != nil {
+			t.Fatalf("cycle %d: final mark: %v", c, err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatalf("cycle %d: close: %v", c, err)
+		}
+		select {
+		case got := <-served:
+			if got.err != nil || got.tuples != tuples || !got.final {
+				t.Fatalf("cycle %d: worker saw %d/%d tuples, final mark %v, err %v",
+					c, got.tuples, tuples, got.final, got.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cycle %d: worker never reached the end of the stream", c)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -97,6 +98,9 @@ type wireConn struct {
 	w    *bufio.Writer
 	dst  int   // destination index (readAcks files service rates under it)
 	ctl  *aimd // adaptive-window controller; nil on a static edge
+	// done closes when the reader goroutine exits: the node closed its
+	// end (err wraps io.EOF) or the connection broke.
+	done chan struct{}
 
 	// epochTuples / epochStallNs are the AIMD epoch accumulators:
 	// tuples shipped and time spent credit-stalled since the last
@@ -358,7 +362,7 @@ func (w *Wire) connect(i int, addr string) error {
 		return fmt.Errorf("edge: dial %s: %w", addr, err)
 	}
 	c := &wireConn{conn: conn, w: bufio.NewWriterSize(conn, 1<<17),
-		dst: i, window: w.window}
+		dst: i, window: w.window, done: make(chan struct{})}
 	if w.opts.AdaptiveWindow {
 		c.ctl = newAIMD(w.window, w.winFloor, w.winCeil)
 	}
@@ -393,6 +397,7 @@ func (w *Wire) connect(i int, addr string) error {
 // the connection's credit. It exits when the connection breaks (the
 // sticky error wakes and fails any blocked sender).
 func (w *Wire) readAcks(c *wireConn) {
+	defer close(c.done)
 	r := bufio.NewReaderSize(c.conn, 1<<12)
 	var buf []byte
 	for {
@@ -858,9 +863,22 @@ func (w *Wire) Flush() error {
 	return nil
 }
 
+// closeDrain bounds how long Close waits for a node to read the
+// stream's tail and close its end: generous next to any healthy node's
+// backlog (at most one credit window of tuples and a final flush),
+// short enough that a wedged node fails the topology instead of
+// hanging it.
+const closeDrain = 30 * time.Second
+
 // Close implements Edge: stop the linger flusher, ship any accumulated
-// batches, then flush and close every connection (their reader
-// goroutines exit on the close).
+// batches, then end every connection in order — flush, half-close, and
+// keep reading until the node has read everything and closed its own
+// end. Closing outright would race the node's acks: one that lands on a
+// closed socket draws a reset, and a reset lets the node's kernel
+// discard whatever the node had not read yet — the stream's tail and
+// its final mark. Close returns an error when a node fails to drain
+// within closeDrain or drops the connection instead of closing it, so
+// a lost tail is never silent.
 func (w *Wire) Close() error {
 	if w.lingerStop != nil {
 		w.lingerOnce.Do(func() { close(w.lingerStop) })
@@ -868,22 +886,48 @@ func (w *Wire) Close() error {
 	w.lock()
 	defer w.unlock()
 	var first error
+	keep := func(err error) {
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	// Half-close every connection before waiting on any, so the nodes
+	// drain side by side.
 	for i, c := range w.cs {
 		if c == nil {
 			continue
 		}
-		if err := w.flushBatch(i); err != nil && first == nil {
-			first = err
-		}
+		keep(w.flushBatch(i))
 		if c = w.cs[i]; c == nil { // flushBatch may have redialed: re-read
 			continue
 		}
-		if err := c.w.Flush(); err != nil && first == nil {
-			first = err
+		keep(c.w.Flush())
+		if hc, ok := c.conn.(interface{ CloseWrite() error }); ok {
+			keep(hc.CloseWrite())
 		}
-		if err := c.conn.Close(); err != nil && first == nil {
-			first = err
+	}
+	deadline := time.Now().Add(closeDrain)
+	for i, c := range w.cs {
+		if c == nil {
+			continue
 		}
+		// The reader goroutine is the one draining; the deadline turns a
+		// node that never closes into a read timeout there.
+		keep(c.conn.SetReadDeadline(deadline))
+		<-c.done
+		c.mu.Lock()
+		err := c.err
+		c.mu.Unlock()
+		var ne net.Error
+		switch {
+		case errors.Is(err, io.EOF):
+			// The node read to the end of the stream and closed.
+		case errors.As(err, &ne) && ne.Timeout():
+			keep(fmt.Errorf("edge: node %d (%s) did not finish reading within %v of close", i, w.addrs[i], closeDrain))
+		default:
+			keep(fmt.Errorf("edge: node %d (%s) dropped the connection before the stream's end: %w", i, w.addrs[i], err))
+		}
+		keep(c.conn.Close())
 	}
 	return first
 }

@@ -910,6 +910,89 @@ func TestForwardedTickFlushesPartialBatch(t *testing.T) {
 	}
 }
 
+// waitingSpout emits its keys and one tick (which carries them past the
+// spout's own emit buffer), then holds the stream open until released.
+type waitingSpout struct {
+	keys    []string
+	release <-chan struct{}
+	sent    bool
+}
+
+func (s *waitingSpout) Open(*Context) {}
+func (s *waitingSpout) Close()        {}
+func (s *waitingSpout) Next(out Emitter) bool {
+	if s.sent {
+		<-s.release
+		return false
+	}
+	s.sent = true
+	for _, k := range s.keys {
+		out.Emit(Tuple{Key: k})
+	}
+	out.Emit(Tuple{Tick: true})
+	return true
+}
+
+func TestBoltFlushesOnIdleInput(t *testing.T) {
+	// A bolt that emitted three tuples and then has nothing left to read
+	// must not sit on them: they reach the sink without a tick from the
+	// bolt, a full batch, or the end of the stream.
+	release := make(chan struct{})
+	arrived := make(chan struct{}, 3) // one token per forwarded tuple
+	b := NewBuilder("idleflush", 1)
+	b.AddSpout("src", func() Spout {
+		return &waitingSpout{keys: []string{"a", "b", "c"}, release: release}
+	}, 1)
+	b.AddBolt("fwd", func() Bolt {
+		return BoltFunc(func(tu Tuple, out Emitter) {
+			if !tu.Tick {
+				out.Emit(tu)
+			}
+		})
+	}, 1).Input("src", Shuffle())
+	b.AddBolt("sink", func() Bolt {
+		return BoltFunc(func(Tuple, Emitter) { arrived <- struct{}{} })
+	}, 1).Input("fwd", Shuffle())
+	top, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- NewRuntime(top, Options{QueueSize: 1024, BatchSize: 64}).Run() }()
+	for i := 0; i < 3; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+			close(release)
+			<-done
+			t.Fatalf("sink saw %d of 3 tuples while the stream idled: the bolt is holding its batch", i)
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestHashedTupleSkipsRehash(t *testing.T) {
+	// A trusted (key, hash) pair seeds the cache: RouteKey returns the
+	// given hash without consulting the key — shown with a hash the key
+	// does not have — until the tuple is rekeyed.
+	key := "word"
+	tu := HashedTuple(key, 42)
+	if got := tu.RouteKey(); got != 42 {
+		t.Fatalf("RouteKey of a hashed tuple = %d, want the seeded 42", got)
+	}
+	tu.Key = "other"
+	if got, want := tu.RouteKey(), (&Tuple{Key: "other"}).RouteKey(); got != want {
+		t.Fatalf("rekeyed hashed tuple routes by %#x, want %#x", got, want)
+	}
+	empty := HashedTuple("", 0)
+	if got, want := empty.RouteKey(), (&Tuple{}).RouteKey(); got != want {
+		t.Fatalf("empty hashed tuple routes by %#x, want the empty key's %#x", got, want)
+	}
+}
+
 func TestRouteKeyPreservesExplicitHashAfterStringKey(t *testing.T) {
 	// String→integer key conversion mid-topology: a bolt receives a
 	// string-keyed tuple (hash already cached by the upstream emitter),

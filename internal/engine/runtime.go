@@ -21,18 +21,21 @@ type Options struct {
 	QueueSize int
 	// BatchSize is the number of tuples moved per channel operation
 	// (default 64). Emitters buffer routed tuples per destination and
-	// flush a batch when it fills, when the instance finishes, or — for
-	// ticks — immediately; batching amortizes the channel synchronization
-	// that dominates the per-tuple send path. Two consequences of
-	// size/close flushing: a trickling emitter may hold up to
-	// BatchSize−1 tuples back until it finishes, and spout timestamps
-	// (EmitNanos) are read once per batch, so they can be up to
-	// BatchSize−1 emits stale. Both are negligible for the saturated
-	// finite streams this runtime executes; for trickle workloads that
-	// need per-tuple delivery and stamping, set BatchSize to 1, which
-	// degenerates to the unbatched tuple-at-a-time engine. BatchSize is
-	// clamped to QueueSize so small queues keep bounding in-flight
-	// tuples.
+	// send a batch when it fills, when the instance finishes, for ticks
+	// immediately, and — bolts — whenever the instance has worked off
+	// its input queue: a bolt that has nothing left to read has nothing
+	// more to add to a partial batch, so holding it would only delay
+	// what it carries (a closed window's last results, say) until
+	// unrelated later input. Saturated edges never see an empty queue
+	// and keep shipping full batches; batching amortizes the channel
+	// synchronization that dominates the per-tuple send path. Spouts
+	// have no input queue: a trickling spout still holds up to
+	// BatchSize−1 tuples until it emits a tick (a SourceMark is one) or
+	// finishes, and its timestamps (EmitNanos) are read once per batch,
+	// so they can be up to BatchSize−1 emits stale; set BatchSize to 1
+	// for per-tuple delivery and stamping, which degenerates to the
+	// unbatched tuple-at-a-time engine. BatchSize is clamped to
+	// QueueSize so small queues keep bounding in-flight tuples.
 	BatchSize int
 	// LatencySample is the spout-emit sampling interval for end-to-end
 	// latency measurement: one in every LatencySample data tuples gets
@@ -889,8 +892,9 @@ func (e *emitter) send(s *subscription, dst int, batch []Tuple) {
 
 // Flush sends every pending partial batch downstream and settles the
 // emitted counter. The runtime calls it when the emitting instance
-// finishes (spout exhausted, bolt cleaned up), so no tuple is ever
-// stranded in an emit buffer.
+// finishes (spout exhausted, bolt cleaned up) and when a bolt has
+// drained its input queue, so no tuple is ever stranded in an emit
+// buffer behind input that may be long in coming.
 func (e *emitter) Flush() {
 	if e.pending > 0 {
 		e.stats.emitted.Add(int64(e.pending))
@@ -1164,6 +1168,11 @@ func (r *Runtime) runBolt(decl boltDecl, index int, in <-chan []Tuple, em *emitt
 			continue // keep draining so upstream does not block forever
 		}
 		r.execBatch(bolt, batch, em, st, &broken, decl.name, index)
+		if len(in) == 0 {
+			// Idle input: whatever this batch made the bolt emit goes out
+			// now rather than with the next batch, whenever that comes.
+			em.Flush()
+		}
 	}
 	if !broken {
 		guard(func() { bolt.Cleanup(em) })

@@ -156,6 +156,20 @@ func (t *Tuple) RouteKey() uint64 {
 	return t.KeyHash
 }
 
+// HashedTuple returns a tuple keyed by key whose routing hash is already
+// known — hash must be route.KeyHash(key), as carried by a wire frame
+// the sender computed it for. The hash cache starts warm, so RouteKey
+// does not hash the string again; with a zero hash (or an empty key) it
+// is the plain Tuple{Key: key, KeyHash: hash}.
+func HashedTuple(key string, hash uint64) Tuple {
+	t := Tuple{Key: key, KeyHash: hash}
+	if key != "" && hash != 0 && len(key) <= math.MaxUint16 {
+		t.hashedPtr = unsafe.StringData(key)
+		t.hashedLen = uint16(len(key))
+	}
+	return t
+}
+
 // Context describes the processing element instance a component runs as.
 type Context struct {
 	// Topology is the topology name.

@@ -3,10 +3,11 @@ package window
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"pkgstream/internal/engine"
+	"pkgstream/internal/route"
 	"pkgstream/internal/trace"
 )
 
@@ -19,46 +20,32 @@ import (
 type FinalBolt struct {
 	plan *Plan
 	inst *instrumentation
+	// host is set when the bolt runs inside a FinalHandler instead of an
+	// engine.Runtime: closed results are handed to it as plain arguments,
+	// and the Emitter passed along is unused (nil).
+	host *FinalHandler
 
-	ctx    engine.Context
-	states map[slot]State // general path
-	counts map[slot]int64 // Combiner fast path
-	// strCounts/intCounts are the global-window Combiner fast path,
-	// mirroring PartialBolt: one window per key means the merge is a
-	// plain counter map keyed by the tuple key, with no slot-struct
-	// hashing per merged partial.
-	strCounts map[string]int64
-	intCounts map[uint64]int64
-	wms       map[int]int64 // watermark per partial instance
-	closed    int64         // windows ending ≤ closed have been emitted
-	// minEnd is the earliest end among live slots (MaxInt64 when none),
-	// so the frequent watermark advances that close nothing skip the
-	// full slot scan.
-	minEnd   int64
-	noted    int64 // last combined watermark fed to the lag gauge
-	lastLive int   // last value published to the stats gauge
+	ctx      engine.Context
+	idx      windowIndex
+	wms      map[int]int64 // watermark per partial instance
+	closed   int64         // windows ending ≤ closed have been emitted
+	noted    int64         // last combined watermark fed to the lag gauge
+	lastLive int           // last value published to the stats gauge
 	// traced maps the (key, window) slots a traced partial merged into
 	// to its trace ID, so the window close that emits the slot's Result
 	// can finish the trace. Lazily allocated.
 	traced map[slot]uint64
+	// keys and hashes are the close-order scratch of one window.
+	keys   []string
+	hashes []uint64
 }
 
 // Prepare implements engine.Bolt.
 func (b *FinalBolt) Prepare(ctx *engine.Context) {
 	b.ctx = *ctx
-	sp := &b.plan.spec
-	switch {
-	case b.plan.comb != nil && sp.Size <= 0 && !sp.PerInstance:
-		b.strCounts = map[string]int64{}
-		b.intCounts = map[uint64]int64{}
-	case b.plan.comb != nil:
-		b.counts = map[slot]int64{}
-	default:
-		b.states = map[slot]State{}
-	}
+	b.idx = windowIndex{comb: b.plan.comb != nil, spec: &b.plan.spec}
 	b.wms = map[int]int64{}
 	b.closed = math.MinInt64
-	b.minEnd = math.MaxInt64
 	b.noted = math.MinInt64
 }
 
@@ -78,96 +65,69 @@ func (b *FinalBolt) Execute(t engine.Tuple, out engine.Emitter) {
 		panic(fmt.Sprintf("window: final stage received a non-partial tuple (values %v); "+
 			"subscribe downstream bolts to the final stage, not the reverse", t.Values))
 	}
-	sp := &b.plan.spec
-	if b.strCounts != nil {
-		// Global-window Combiner fast path: the single window can only
-		// close at stream end, so there is no late check and no minEnd
-		// bookkeeping — just the counter merge.
-		b.inst.merged.Add(1)
-		if t.Key != "" {
-			b.strCounts[t.Key] += ps.state.(int64)
-			if t.TraceID != 0 {
-				b.tagTrace(slot{key: t.Key}, t.TraceID)
-			}
-		} else {
-			b.intCounts[t.RouteKey()] += ps.state.(int64)
-			if t.TraceID != 0 {
-				b.tagTrace(slot{hash: t.RouteKey()}, t.TraceID)
-			}
-		}
-		if t.TraceID != 0 {
-			trace.Add(t.TraceID, trace.HopMerge, trace.Now(), 0, 0, 0, b.ctx.Component)
-		}
-		b.minEnd = math.MaxInt64
-		b.publishLive()
-		return
+	var hash uint64
+	if t.Key == "" {
+		hash = t.RouteKey()
 	}
-	end := sp.end(ps.start)
-	if end <= b.closed {
+	if b.plan.comb != nil {
+		b.merge(t.Key, hash, ps.start, ps.state.(int64), nil, t.TraceID)
+	} else {
+		b.merge(t.Key, hash, ps.start, 0, ps.state, t.TraceID)
+	}
+}
+
+// merge folds one flushed partial into its (key, window) accumulator:
+// the count n on the Combiner path, the state st otherwise. String keys
+// are identified by key alone (their hash is recomputed once per closed
+// result), integer keys by hash.
+func (b *FinalBolt) merge(key string, hash uint64, start, n int64, st State, traceID uint64) {
+	sp := &b.plan.spec
+	if sp.end(start) <= b.closed {
 		b.inst.late.Add(1)
 		return
 	}
-	if end < b.minEnd {
-		b.minEnd = end
-	}
-	var sl slot
+	// The accumulator's coordinates: the instance scope, the key alone,
+	// or an integer key's hash.
 	if sp.PerInstance {
-		sl = slot{start: ps.start}
-	} else {
-		sl = slot{hash: t.RouteKey(), key: t.Key, start: ps.start}
+		key, hash = "", 0
+	} else if key != "" {
+		hash = 0
 	}
+	w := b.idx.at(start)
 	b.inst.merged.Add(1)
-	if b.counts != nil {
-		b.counts[sl] += ps.state.(int64)
-	} else if cur, ok := b.states[sl]; ok {
-		b.states[sl] = b.plan.agg.Merge(cur, ps.state)
-	} else {
-		// First partial for the pair: adopt it (the emitting instance
-		// dropped its reference at flush, so no aliasing).
-		b.states[sl] = ps.state
+	switch {
+	case b.plan.comb != nil && key != "":
+		w.strCounts[key] += n
+	case b.plan.comb != nil:
+		w.intCounts[hash] += n
+	case key != "":
+		// The first partial of a pair is adopted as is (the emitting
+		// instance dropped its reference at flush, so no aliasing).
+		if cur, ok := w.strStates[key]; ok {
+			st = b.plan.agg.Merge(cur, st)
+		}
+		w.strStates[key] = st
+	default:
+		if cur, ok := w.intStates[hash]; ok {
+			st = b.plan.agg.Merge(cur, st)
+		}
+		w.intStates[hash] = st
 	}
-	if t.TraceID != 0 {
-		b.tagTrace(sl, t.TraceID)
-		trace.Add(t.TraceID, trace.HopMerge, trace.Now(), 0, sl.start, 0, b.ctx.Component)
+	if traceID != 0 {
+		// A second traced partial for the same slot overwrites the first —
+		// one trace per Result is enough for assembly.
+		if b.traced == nil {
+			b.traced = map[slot]uint64{}
+		}
+		b.traced[slot{key: key, hash: hash, start: start}] = traceID
+		trace.Add(traceID, trace.HopMerge, trace.Now(), 0, start, 0, b.ctx.Component)
 	}
 	b.publishLive()
 }
 
-// tagTrace remembers that a traced partial merged into sl, so the
-// close that emits sl's Result can finish the trace. A second traced
-// partial for the same slot overwrites the first — one trace per
-// Result is enough for assembly.
-func (b *FinalBolt) tagTrace(sl slot, id uint64) {
-	if b.traced == nil {
-		b.traced = map[slot]uint64{}
-	}
-	b.traced[sl] = id
-}
-
-// takeTrace removes and returns the trace ID tagged on sl (0: none).
-func (b *FinalBolt) takeTrace(sl slot) uint64 {
-	if b.traced == nil {
-		return 0
-	}
-	id, ok := b.traced[sl]
-	if ok {
-		delete(b.traced, sl)
-	}
-	return id
-}
-
 // publishLive updates the live-slot gauge when it changed.
 func (b *FinalBolt) publishLive() {
-	var live int
-	switch {
-	case b.strCounts != nil:
-		live = len(b.strCounts) + len(b.intCounts)
-	case b.counts != nil:
-		live = len(b.counts)
-	default:
-		live = len(b.states)
-	}
-	if live != b.lastLive {
+	if live := b.idx.live(); live != b.lastLive {
 		b.lastLive = live
 		b.inst.setLive(int64(live))
 	}
@@ -221,133 +181,88 @@ func (b *FinalBolt) advance(m mark, out engine.Emitter) {
 
 // closeUpTo emits and forgets every (key, window) whose end the
 // watermark has passed, in deterministic (start, key, hash) order. The
-// common advance that closes nothing is O(1): nothing can be due while
-// the watermark is short of the earliest live window end.
+// common advance that closes nothing is one look at the oldest open
+// window.
 func (b *FinalBolt) closeUpTo(wm int64, out engine.Emitter) {
 	if wm <= b.closed {
 		return
 	}
 	b.closed = wm
-	if wm < b.minEnd {
-		return
+	for w := b.idx.oldest(); w != nil && w.end <= wm; w = b.idx.oldest() {
+		b.closeWindow(w, out)
+		b.idx.dropOldest()
 	}
-	sp := &b.plan.spec
-	if b.strCounts != nil {
-		// Global-window fast path: wm has reached MaxInt64 (stream end);
-		// every counter closes, in deterministic key order.
-		b.closeFast(out)
-		return
-	}
-	next := int64(math.MaxInt64)
-	var due []slot
-	if b.counts != nil {
-		for sl := range b.counts {
-			if end := sp.end(sl.start); end <= wm {
-				due = append(due, sl)
-			} else if end < next {
-				next = end
-			}
-		}
-	} else {
-		for sl := range b.states {
-			if end := sp.end(sl.start); end <= wm {
-				due = append(due, sl)
-			} else if end < next {
-				next = end
-			}
-		}
-	}
-	b.minEnd = next
-	if len(due) == 0 {
-		return
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].start != due[j].start {
-			return due[i].start < due[j].start
-		}
-		if due[i].key != due[j].key {
-			return due[i].key < due[j].key
-		}
-		return due[i].hash < due[j].hash
-	})
-	now := time.Now().UnixNano()
-	for _, sl := range due {
-		var st State
-		if b.counts != nil {
-			st = b.counts[sl]
-			delete(b.counts, sl)
-		} else {
-			st = b.states[sl]
-			delete(b.states, sl)
-		}
-		if end := sp.end(sl.start); end >= wallClockFloor {
-			// Staleness: how far behind the window's end the flush that
-			// closed it ran — the visible cost of the aggregation period
-			// T (paper §V Q4). Only meaningful for wall-clock event time.
-			b.inst.hist.Observe(now - end)
-		}
-		b.emitResult(sl, st, out, b.takeTrace(sl), len(due))
-	}
-	b.inst.windowsClosed.Add(int64(len(due)))
 	b.publishLive()
 }
 
-// closeFast drains the global-window counter maps: string keys in
-// lexicographic order, then integer keys by hash — the same
-// deterministic order the slot sort yields for start-0 slots.
-func (b *FinalBolt) closeFast(out engine.Emitter) {
-	n := len(b.strCounts) + len(b.intCounts)
-	if n == 0 {
-		return
+// closeWindow emits every (key, window) result of w: integer keys (key
+// "") by hash, then string keys in lexicographic order.
+func (b *FinalBolt) closeWindow(w *openWindow, out engine.Emitter) {
+	n := w.live()
+	if w.end >= wallClockFloor {
+		// Staleness: how far behind the window's end the watermark that
+		// closed it ran — what a consumer waits beyond the window itself
+		// (paper §V Q4). Only meaningful for wall-clock event time.
+		stale := time.Now().UnixNano() - w.end
+		for i := 0; i < n; i++ {
+			b.inst.hist.Observe(stale)
+		}
 	}
-	keys := make([]string, 0, len(b.strCounts))
-	for k := range b.strCounts {
-		keys = append(keys, k)
+	b.hashes = b.hashes[:0]
+	for h := range w.intCounts {
+		b.hashes = append(b.hashes, h)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		// Restore the key's routing hash on the Result (the fast-path
-		// counter map does not carry it): one hash per closed key, at
-		// stream end only.
-		t := engine.Tuple{Key: k}
-		// The fast-path merge tagged traces on the bare key slot.
-		b.emitResult(slot{key: k, hash: t.RouteKey()}, b.strCounts[k], out, b.takeTrace(slot{key: k}), n)
+	for h := range w.intStates {
+		b.hashes = append(b.hashes, h)
 	}
-	hashes := make([]uint64, 0, len(b.intCounts))
-	for h := range b.intCounts {
-		hashes = append(hashes, h)
+	slices.Sort(b.hashes)
+	for _, h := range b.hashes {
+		b.emitResult(out, "", h, w, w.num(h), n)
 	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-	for _, h := range hashes {
-		b.emitResult(slot{hash: h}, b.intCounts[h], out, b.takeTrace(slot{hash: h}), n)
+	b.keys = b.keys[:0]
+	for k := range w.strCounts {
+		b.keys = append(b.keys, k)
 	}
-	clear(b.strCounts)
-	clear(b.intCounts)
+	for k := range w.strStates {
+		b.keys = append(b.keys, k)
+	}
+	slices.Sort(b.keys)
+	for _, k := range b.keys {
+		b.emitResult(out, k, 0, w, w.str(k), n)
+	}
+	clear(b.keys) // drop the key references until the next close
 	b.inst.windowsClosed.Add(int64(n))
-	b.publishLive()
 }
 
-// emitResult ships one closed (key, window) downstream. id is the
-// trace riding the slot (0: untraced); closing is the size of the
-// close batch the slot belongs to.
-func (b *FinalBolt) emitResult(sl slot, st State, out engine.Emitter, id uint64, closing int) {
-	sp := &b.plan.spec
-	res := Result{
-		Key:     sl.key,
-		KeyHash: sl.hash,
-		Start:   sl.start,
-		End:     sp.end(sl.start),
-		Value:   b.plan.agg.Output(sl.key, st),
+// emitResult ships one closed (key, window) downstream; closing is the
+// number of results its window closes with.
+func (b *FinalBolt) emitResult(out engine.Emitter, key string, hash uint64, w *openWindow, st State, closing int) {
+	var id uint64
+	if b.traced != nil {
+		sl := slot{key: key, hash: hash, start: w.start}
+		if id = b.traced[sl]; id != 0 {
+			delete(b.traced, sl)
+			now := trace.Now()
+			trace.Add(id, trace.HopWindowClose, now, 0, w.start, int64(closing), b.ctx.Component)
+			trace.Add(id, trace.HopResult, now, 0, 0, 0, b.ctx.Component)
+		}
 	}
-	t := engine.Tuple{Key: sl.key, Values: engine.Values{res}}
-	if sl.key == "" {
-		t.KeyHash = sl.hash
+	if key != "" {
+		// The Result carries the key's routing hash; the per-window maps
+		// are keyed by the string alone, so it is computed here, once per
+		// closed result instead of once per merged partial.
+		hash = route.KeyHash(key)
 	}
-	if id != 0 {
-		t.TraceID = id
-		now := trace.Now()
-		trace.Add(id, trace.HopWindowClose, now, 0, sl.start, int64(closing), b.ctx.Component)
-		trace.Add(id, trace.HopResult, now, 0, 0, 0, b.ctx.Component)
+	v := b.plan.agg.Output(key, st)
+	if b.host != nil {
+		b.host.collect(key, hash, w.start, w.end, v)
+		return
+	}
+	t := engine.Tuple{Key: key, TraceID: id, Values: engine.Values{Result{
+		Key: key, KeyHash: hash, Start: w.start, End: w.end, Value: v,
+	}}}
+	if key == "" {
+		t.KeyHash = hash
 	}
 	out.Emit(t)
 }

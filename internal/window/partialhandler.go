@@ -32,7 +32,8 @@ import (
 //   - PartialHandler, the transport.Handler hosting an ordinary
 //     PartialBolt on the remote side: tuples accumulate per (key,
 //     window), flushes follow the plan's aggregation period (tuple
-//     count, or Tick from a wall-clock driver), and flushed partials
+//     count, or Tick from a wall-clock driver) and the watermark (a
+//     completed window goes out at once), and flushed partials
 //     forward — key-grouped, with bounded-backoff retry — to the final
 //     nodes, marks riding behind the data they cover.
 
@@ -86,6 +87,7 @@ func (p *Plan) NewPartialHandler(o PartialHandlerOptions) (*PartialHandler, erro
 			opts: transport.SourceOptions{Mode: transport.ModeKG, Seed: o.Seed},
 		},
 	}
+	h.bolt.host = h
 	h.bolt.Prepare(&engine.Context{
 		Component: "remote-partial", Index: o.ID, Parallelism: o.Nodes,
 	})
@@ -98,9 +100,10 @@ func (p *Plan) NewPartialHandler(o PartialHandlerOptions) (*PartialHandler, erro
 // PartialHandler hosts a windowed partial stage behind a
 // transport.Worker: decoded tuples accumulate in an ordinary
 // PartialBolt; marks relay the engine sources' watermarks into it; and
-// every flush the bolt makes — tuple-count, Tick-driven, or the final
-// cleanup once all sources are done — forwards its partials and
-// watermark to the final nodes through a retrying partialSender.
+// every flush the bolt makes — tuple-count, Tick-driven, a window the
+// watermark completed, or the final cleanup once all sources are done —
+// forwards its partials and watermark to the final nodes through a
+// retrying partialSender.
 //
 // The transport worker serializes handler calls, and the handler's own
 // mutex covers the accessors, so a PartialHandler is safe to inspect
@@ -119,38 +122,41 @@ type PartialHandler struct {
 	err       error
 }
 
-// relay is the emitter the hosted PartialBolt flushes into; it runs
-// under h.mu (every bolt call sits inside the handler lock).
-type relay PartialHandler
+// forward is where the hosted PartialBolt hands each flushed partial —
+// plain arguments, no tuple built around them. It runs under h.mu (every
+// bolt call sits inside the handler lock). The first delivery failure
+// latches: the handler keeps absorbing and counting, but Err reports the
+// edge as dead.
+func (h *PartialHandler) forward(key string, hash uint64, start, n int64, st State, traceID uint64) {
+	if h.err == nil {
+		h.err = h.snd.sendPartial(key, hash, start, n, st, traceID)
+	}
+}
 
-// Emit implements engine.Emitter: partials and marks forward to the
-// final nodes; the first delivery failure latches (the handler keeps
-// absorbing and counting, but Err reports the edge as dead).
-func (r *relay) Emit(t engine.Tuple) {
-	h := (*PartialHandler)(r)
-	if h.err != nil {
-		return
+// forwardMark relays the hosted bolt's watermark to every final node,
+// behind the partials it covers.
+func (h *PartialHandler) forwardMark(from int, wm int64) {
+	if h.err == nil {
+		h.err = h.snd.sendMark(uint32(from), wm)
 	}
-	if t.Tick {
-		if len(t.Values) == 1 {
-			if m, ok := t.Values[0].(mark); ok {
-				h.err = h.snd.sendMark(uint32(m.from), m.wm)
-			}
-		}
-		return
+}
+
+// execute runs one decoded tuple through the hosted bolt. The wire
+// carries the key's routing hash, so the tuple is built with its hash
+// cache already warm; the decode buffer is the worker's, so values are
+// copied before the bolt may retain them.
+func (h *PartialHandler) execute(t *wire.Tuple) {
+	et := engine.HashedTuple(t.Key, t.KeyHash)
+	et.EmitNanos, et.TraceID, et.LatStamp, et.Tick = t.EmitNanos, t.TraceID, t.LatStamp, t.Tick
+	if len(t.Values) > 0 {
+		et.Values = append(engine.Values{}, t.Values...)
 	}
-	ps, ok := t.Values[0].(partialState)
-	if !ok {
-		h.bad++
-		return
-	}
-	h.err = h.snd.sendPartial(t.Key, t.RouteKey(), ps, t.TraceID)
+	h.bolt.Execute(et, nil)
 }
 
 // HandleTuple implements transport.Handler: one stream tuple
 // accumulates into the bolt (which may flush itself on the plan's
-// tuple-count period). The decode buffer is the worker's — values are
-// copied before the bolt may retain them.
+// tuple-count period or a completed window).
 func (h *PartialHandler) HandleTuple(t *wire.Tuple) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -158,12 +164,7 @@ func (h *PartialHandler) HandleTuple(t *wire.Tuple) {
 		h.bad++ // a tuple after every source's final mark: protocol misuse
 		return
 	}
-	et := engine.Tuple{Key: t.Key, KeyHash: t.KeyHash, EmitNanos: t.EmitNanos,
-		TraceID: t.TraceID, LatStamp: t.LatStamp, Tick: t.Tick}
-	if len(t.Values) > 0 {
-		et.Values = append(engine.Values{}, t.Values...)
-	}
-	h.bolt.Execute(et, (*relay)(h))
+	h.execute(t)
 	h.processed++
 }
 
@@ -178,13 +179,7 @@ func (h *PartialHandler) HandleTupleBatch(ts []wire.Tuple) {
 		return
 	}
 	for i := range ts {
-		t := &ts[i]
-		et := engine.Tuple{Key: t.Key, KeyHash: t.KeyHash, EmitNanos: t.EmitNanos,
-			TraceID: t.TraceID, LatStamp: t.LatStamp, Tick: t.Tick}
-		if len(t.Values) > 0 {
-			et.Values = append(engine.Values{}, t.Values...)
-		}
-		h.bolt.Execute(et, (*relay)(h))
+		h.execute(&ts[i])
 	}
 	h.processed += int64(len(ts))
 }
@@ -199,7 +194,8 @@ func (h *PartialHandler) HandlePartial(*wire.Partial) {
 
 // HandleMark implements transport.Handler: the engine source's
 // watermark advances the bolt's per-source table (the bolt broadcasts
-// its own minimum at each flush). Once every expected source has sent
+// its own minimum at each flush, and at once when it completes a
+// window). Once every expected source has sent
 // its final mark, the bolt cleans up — the last flush, whose MaxInt64
 // mark tells the finals this node will never send another partial.
 func (h *PartialHandler) HandleMark(m wire.Mark) {
@@ -208,12 +204,12 @@ func (h *PartialHandler) HandleMark(m wire.Mark) {
 	if h.done {
 		return
 	}
-	h.bolt.Execute(SourceMark(int(m.Source), m.WM), (*relay)(h))
+	h.bolt.Execute(SourceMark(int(m.Source), m.WM), nil)
 	if m.Final() {
 		h.finals[m.Source] = true
 		if len(h.finals) >= h.sources {
 			h.done = true
-			h.bolt.Cleanup((*relay)(h))
+			h.bolt.Cleanup(nil)
 			if err := h.snd.close(); err != nil && h.err == nil {
 				h.err = err
 			}
@@ -230,7 +226,7 @@ func (h *PartialHandler) Tick() {
 	if h.done {
 		return
 	}
-	h.bolt.Execute(engine.Tuple{Tick: true}, (*relay)(h))
+	h.bolt.Execute(engine.Tuple{Tick: true}, nil)
 }
 
 // HandleQuery implements transport.Handler.

@@ -125,12 +125,30 @@ func (s *partialSender) dial() error {
 	return nil
 }
 
-// withRetry runs op, redialing with bounded backoff on failure. During
+// outFrame is one frame bound for the final nodes: the partial when
+// set, the mark otherwise.
+type outFrame struct {
+	partial *wire.Partial
+	mark    wire.Mark
+}
+
+// ship writes f to the current connection set.
+func (s *partialSender) ship(f outFrame) error {
+	if s.src == nil {
+		return fmt.Errorf("window: %s: not connected", s.comp)
+	}
+	if f.partial != nil {
+		return s.src.SendPartial(f.partial)
+	}
+	return s.src.SendMarkFrom(f.mark.Source, f.mark.WM)
+}
+
+// withRetry ships f, redialing with bounded backoff on failure. During
 // a reconnect, frames buffered on the dead connection may or may not
 // have been absorbed — delivery across a node restart is at-least-once
 // for the frame being retried and best-effort for the buffered tail.
-func (s *partialSender) withRetry(op func() error) error {
-	err := op()
+func (s *partialSender) withRetry(f outFrame) error {
+	err := s.ship(f)
 	if err == nil {
 		return nil
 	}
@@ -147,7 +165,7 @@ func (s *partialSender) withRetry(op func() error) error {
 		if err = s.dial(); err != nil {
 			continue
 		}
-		if err = op(); err == nil {
+		if err = s.ship(f); err == nil {
 			return nil
 		}
 	}
@@ -161,36 +179,32 @@ func (s *partialSender) withRetry(op func() error) error {
 	}
 }
 
-// sendPartial encodes and ships one flushed (key, window) partial.
-// traceID, when nonzero, rides the wire so the final node continues
-// the trace; the ship itself is recorded as a wire-send span.
-func (s *partialSender) sendPartial(key string, hash uint64, ps partialState, traceID uint64) error {
+// sendPartial encodes and ships one flushed (key, window) partial: the
+// count n on the Combiner path, the accumulator st through the codec
+// otherwise. traceID, when nonzero, rides the wire so the final node
+// continues the trace; the ship itself is recorded as a wire-send span.
+func (s *partialSender) sendPartial(key string, hash uint64, start, n int64, st State, traceID uint64) error {
 	p := &s.scratch
 	p.KeyHash = hash
 	p.Key = key
-	p.Start = ps.start
+	p.Start = start
 	p.TraceID = traceID
 	if s.codec == nil {
-		p.Count = ps.state.(int64)
+		p.Count = n
 		p.Raw = nil
 	} else {
 		p.Count = 0
-		p.Raw = s.codec.EncodeState(ps.state)
+		p.Raw = s.codec.EncodeState(st)
 	}
-	var start int64
+	var t0 int64
 	if traceID != 0 {
-		start = trace.Now()
+		t0 = trace.Now()
 	}
-	err := s.withRetry(func() error {
-		if s.src == nil {
-			return fmt.Errorf("window: %s: not connected", s.comp)
-		}
-		return s.src.SendPartial(p)
-	})
+	err := s.withRetry(outFrame{partial: p})
 	if err == nil {
 		s.frames.Add(1)
 		if traceID != 0 {
-			trace.Add(traceID, trace.HopWireSend, start, trace.Now()-start, 1, 0, s.comp)
+			trace.Add(traceID, trace.HopWireSend, t0, trace.Now()-t0, 1, 0, s.comp)
 		}
 	}
 	return err
@@ -198,12 +212,7 @@ func (s *partialSender) sendPartial(key string, hash uint64, ps partialState, tr
 
 // sendMark relays one watermark under the given source ID.
 func (s *partialSender) sendMark(from uint32, wm int64) error {
-	err := s.withRetry(func() error {
-		if s.src == nil {
-			return fmt.Errorf("window: %s: not connected", s.comp)
-		}
-		return s.src.SendMarkFrom(from, wm)
-	})
+	err := s.withRetry(outFrame{mark: wire.Mark{Source: from, WM: wm}})
 	if err == nil {
 		s.marks.Add(1)
 	}
@@ -270,7 +279,12 @@ func (b *remoteFinal) Execute(t engine.Tuple, out engine.Emitter) {
 	if !ok {
 		panic(fmt.Sprintf("window: remote final received a non-partial tuple (values %v)", t.Values))
 	}
-	if err := b.snd.sendPartial(t.Key, t.RouteKey(), ps, t.TraceID); err != nil {
+	var n int64
+	st := ps.state
+	if b.snd.codec == nil {
+		n, st = st.(int64), nil
+	}
+	if err := b.snd.sendPartial(t.Key, t.RouteKey(), ps.start, n, st, t.TraceID); err != nil {
 		panic(err)
 	}
 	b.inst.partialsOut.Add(1)
@@ -354,24 +368,17 @@ func (p *Plan) NewFinalHandler(sources int) (*FinalHandler, error) {
 	if rc, ok := p.agg.(ResultCodec); ok {
 		h.rc = rc
 	}
+	h.bolt.host = h
 	h.bolt.Prepare(&engine.Context{Component: "remote-final", Parallelism: 1})
 	return h, nil
 }
 
-// collector is the emitter the hosted FinalBolt closes windows into; it
-// runs under h.mu (every bolt call sits inside the handler lock).
-type resultCollector FinalHandler
-
-// Emit implements engine.Emitter.
-func (c *resultCollector) Emit(t engine.Tuple) {
-	h := (*FinalHandler)(c)
-	res, ok := t.Values[0].(Result)
-	if !ok {
-		h.bad++
-		return
-	}
-	wr := wire.WindowResult{KeyHash: res.KeyHash, Key: res.Key, Start: res.Start, End: res.End}
-	switch v := res.Value.(type) {
+// collect is where the hosted FinalBolt hands each closed (key, window)
+// result; it runs under h.mu (every bolt call sits inside the handler
+// lock).
+func (h *FinalHandler) collect(key string, hash uint64, start, end int64, v any) {
+	wr := wire.WindowResult{KeyHash: hash, Key: key, Start: start, End: end}
+	switch v := v.(type) {
 	case int64:
 		wr.Value = v
 	default:
@@ -379,7 +386,7 @@ func (c *resultCollector) Emit(t engine.Tuple) {
 			h.unenc++
 			return
 		}
-		wr.Raw = h.rc.EncodeResult(res.Key, v)
+		wr.Raw = h.rc.EncodeResult(key, v)
 	}
 	h.results = append(h.results, wr)
 }
@@ -392,31 +399,25 @@ func (h *FinalHandler) HandleTuple(*wire.Tuple) {
 	h.mu.Unlock()
 }
 
-// HandlePartial implements transport.Handler.
+// HandlePartial implements transport.Handler: the decoded partial
+// merges straight into the hosted bolt, no tuple built around it.
 func (h *FinalHandler) HandlePartial(p *wire.Partial) {
+	// A counter for a codec plan, or the reverse, is a misconfigured
+	// topology; so is a state the codec cannot decode.
+	ok := (p.Raw != nil) == (h.codec != nil)
 	var st State
-	if p.Raw != nil {
-		if h.codec == nil {
-			h.mu.Lock()
-			h.bad++
-			h.mu.Unlock()
-			return
-		}
+	if ok && p.Raw != nil {
 		var err error
-		if st, err = h.codec.DecodeState(p.Raw); err != nil {
-			h.mu.Lock()
-			h.bad++
-			h.mu.Unlock()
-			return
-		}
-	} else {
-		st = p.Count
+		st, err = h.codec.DecodeState(p.Raw)
+		ok = err == nil
 	}
-	t := engine.Tuple{Key: p.Key, KeyHash: p.KeyHash, TraceID: p.TraceID,
-		Values: engine.Values{partialState{start: p.Start, state: st}}}
 	h.mu.Lock()
-	h.bolt.Execute(t, (*resultCollector)(h))
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	if !ok {
+		h.bad++
+		return
+	}
+	h.bolt.merge(p.Key, p.KeyHash, p.Start, p.Count, st, p.TraceID)
 }
 
 // HandleMark implements transport.Handler: the mark advances the hosted
@@ -426,7 +427,7 @@ func (h *FinalHandler) HandlePartial(p *wire.Partial) {
 func (h *FinalHandler) HandleMark(m wire.Mark) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.bolt.advance(mark{from: int(m.Source), of: h.sources, wm: m.WM}, (*resultCollector)(h))
+	h.bolt.advance(mark{from: int(m.Source), of: h.sources, wm: m.WM}, nil)
 	if m.Final() {
 		h.finals[m.Source] = true
 		if len(h.finals) >= h.sources {

@@ -21,7 +21,12 @@
 //     grouping, flush every T keyed by the original key, and the final
 //     stage merges the ≤d partials per key, closing each window once
 //     the combined watermark (minimum over partial instances) passes
-//     its end.
+//     its end. T bounds memory and traffic; result freshness does not
+//     wait for it — a watermark that completes a window flushes that
+//     window at once (see PartialBolt).
+//
+// Both stages keep their state window-indexed (windowIndex): a short
+// start-ordered list of open windows, each holding plain per-key maps.
 package window
 
 import (
@@ -151,6 +156,22 @@ func (s *Spec) end(start int64) int64 {
 	return start + int64(s.Size)
 }
 
+// endAfter returns the earliest window end strictly above wm — the
+// next point at which a rising watermark completes a window. Ends sit
+// on the grid k·Slide + Size; past the last representable one it
+// saturates at math.MaxInt64, which no watermark but the end-of-stream
+// promise reaches.
+func (s *Spec) endAfter(wm int64) int64 {
+	size, slide := int64(s.Size), int64(s.Slide)
+	if s.Size <= 0 || wm > math.MaxInt64-size-slide {
+		return math.MaxInt64
+	}
+	if wm < math.MinInt64+size {
+		wm = math.MinInt64 + size
+	}
+	return (floorDiv(wm-size, slide)+1)*slide + size
+}
+
 // floorDiv is integer division rounding towards negative infinity, so
 // window starts align on the slide grid for negative timestamps too.
 func floorDiv(a, b int64) int64 {
@@ -161,8 +182,10 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// slot identifies one live accumulator: a (key, window-start) pair, or
-// just the window when the aggregation is per-instance.
+// slot names one live accumulator for trace tagging — the same
+// coordinates the per-window maps use: a string key (hash 0), or an
+// integer key's hash (key ""), or neither for a per-instance scope,
+// plus the window start.
 type slot struct {
 	hash  uint64
 	key   string
@@ -223,7 +246,8 @@ func SourceAware(g engine.GroupingFactory) engine.GroupingFactory {
 }
 
 // mark is the watermark control tuple a partial instance broadcasts
-// after every flush. It rides with Tick set so the engine ships it
+// after every flush and whenever its watermark crosses a window end. It
+// rides with Tick set so the engine ships it
 // immediately (never stuck behind a partial batch); the final stage
 // closes a window once the minimum watermark across all partial
 // instances passes its end.
