@@ -500,7 +500,7 @@ func TestWireEdgeReconnects(t *testing.T) {
 // tuples.
 func TestWireEdgeWatermarkOrdering(t *testing.T) {
 	h := transport.NewCountHandler()
-	rec := &recordingHandler{inner: h}
+	rec := &recordingHandler{inner: h, markAt: -1}
 	w, err := transport.ListenHandler("127.0.0.1:0", rec)
 	if err != nil {
 		t.Fatal(err)
@@ -520,8 +520,14 @@ func TestWireEdgeWatermarkOrdering(t *testing.T) {
 	if err := e.Watermark(0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WaitProcessed(3, 5*time.Second); err != nil {
-		t.Fatal(err)
+	// Wait for the mark itself: the tuples' processed count can reach 3
+	// before the worker has handled the mark queued behind them.
+	deadline := time.Now().Add(5 * time.Second)
+	for !rec.marked() {
+		if time.Now().After(deadline) {
+			t.Fatal("no mark within 5s")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
@@ -533,6 +539,8 @@ func TestWireEdgeWatermarkOrdering(t *testing.T) {
 	}
 }
 
+// recordingHandler notes how many tuples it had seen when a mark
+// arrived (markAt; start it at -1, "no mark yet").
 type recordingHandler struct {
 	inner  transport.Handler
 	mu     sync.Mutex
@@ -547,6 +555,11 @@ func (r *recordingHandler) HandleTuple(t *wire.Tuple) {
 	r.inner.HandleTuple(t)
 }
 func (r *recordingHandler) HandlePartial(p *wire.Partial) { r.inner.HandlePartial(p) }
+func (r *recordingHandler) marked() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.markAt >= 0
+}
 func (r *recordingHandler) HandleMark(m wire.Mark) {
 	r.mu.Lock()
 	r.markAt = r.seen

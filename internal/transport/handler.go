@@ -48,14 +48,18 @@ type TupleBatchHandler interface {
 // ResultSink is the push half of a Subscribe session: the worker hands
 // one to the handler when a connection subscribes, and the handler
 // writes server-initiated Reply frames through it whenever it has news
-// (closed windows, the final Done). Push is safe to call from any
-// handler method (writes are serialized with the connection's query
-// replies and acks); a failed Push means the subscriber is gone and
-// the handler should drop the sink.
+// (closed windows, the final Done). The handler hands over finished
+// frame bytes — window.FinalHandler frames results it encoded once, when
+// their window closed (wire.AppendResultsHeader + the encoded page) — and
+// the sink writes them as they are, encoding nothing. Push is safe to
+// call from any handler method (writes are serialized with the
+// connection's query replies and acks); a failed Push means the
+// subscriber is gone and the handler should drop the sink.
 type ResultSink interface {
-	// Push writes one OpResults-shaped reply on the subscribed
-	// connection.
-	Push(rep *wire.Reply) error
+	// Push writes one framed OpResults-shaped KindReply on the
+	// subscribed connection. The sink does not retain frame after Push
+	// returns, so the caller may reuse it.
+	Push(frame []byte) error
 }
 
 // PushHandler is the optional Handler extension for push delivery: a

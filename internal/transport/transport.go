@@ -358,22 +358,20 @@ func (w *Worker) serve(conn net.Conn) {
 type connSink struct {
 	mu   *sync.Mutex
 	conn net.Conn
-	buf  []byte
 }
 
-// Push implements ResultSink. The whole body — including the encode
-// into the sink's scratch buffer — runs under the connection's write
-// mutex, so concurrent Push calls (a handler pushing from its own
-// timer goroutine while the serve loop answers a query) stay safe.
-func (s *connSink) Push(rep *wire.Reply) error {
+// Push implements ResultSink: the frame is written as it is, under the
+// connection's write mutex, so concurrent Push calls (a handler pushing
+// from its own timer goroutine while the serve loop answers a query)
+// stay safe.
+func (s *connSink) Push(frame []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buf = wire.AppendReply(s.buf[:0], rep)
 	if err := s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		return err
 	}
 	defer s.conn.SetWriteDeadline(time.Time{})
-	_, err := s.conn.Write(s.buf)
+	_, err := s.conn.Write(frame)
 	return err
 }
 

@@ -2,6 +2,8 @@ package window
 
 import (
 	"fmt"
+	"iter"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,7 +30,8 @@ import (
 //   - FinalHandler, the transport.Handler that hosts an ordinary
 //     FinalBolt on the remote side: partials merge, windows close once
 //     the minimum watermark across all live sources passes their end,
-//     and closed results are collected for OpResults point queries.
+//     and closed results are kept, encoded, for push subscribers and
+//     OpResults point queries.
 
 // StateCodec is the optional Aggregator extension a remote final needs
 // on the general (non-Combiner) path: partial accumulators must have a
@@ -311,8 +314,17 @@ func (b *remoteFinal) EdgeStats() engine.EdgeStats { return b.snd.EdgeStats() }
 // the remote half of a RemoteFinal topology, and the engine room of
 // `pkgnode -mode final`. Decoded partials merge into an ordinary
 // FinalBolt; marks advance its watermark, which is the minimum across
-// all live sources (one source per upstream partial instance); closed
-// windows are collected and served to OpResults queries.
+// all live sources (one source per upstream partial instance).
+//
+// Closed windows go to the result log, which holds them as sealed pages
+// of reply-encoded results (wire.AppendResult): each mark that closes
+// windows encodes their results once — key bytes inline, so a closed
+// window's key strings are freed with its maps — and seals them as one
+// page of at most resultsPage results. A push writes a frame header plus
+// a page's bytes as they are; Results, OpResults and OpCount decode
+// pages when called. The log keeps the full history, with no size
+// limit: late subscribers and drains start from any offset, and
+// trimming it would take that away.
 //
 // The transport worker serializes handler calls, and the handler's own
 // mutex covers the accessors, so a FinalHandler is safe to inspect
@@ -325,18 +337,32 @@ type FinalHandler struct {
 	rc      ResultCodec
 	sources int
 	finals  map[uint32]bool
-	results []wire.WindowResult
+	pages   []resultPage // the result log
+	total   int          // results in pages
+	open    []byte       // encoded results of the mark being handled
+	openN   int          // results in open
+	frame   []byte       // push scratch: header plus page
 	subs    []*finalSub
 	bad     int64
 	unenc   int64
 	done    bool
 }
 
+// resultPage is one sealed run of the result log: n consecutive
+// results, from log offset first, in their reply encoding.
+type resultPage struct {
+	first, n int
+	b        []byte
+}
+
 // finalSub is one push subscription: a sink bound to the subscriber's
-// connection and the result-log offset it has been fed up to.
+// connection, the next page it is owed and how many results at the
+// head of that page it already has (nonzero only after subscribing at
+// a mid-page offset).
 type finalSub struct {
 	sink     transport.ResultSink
-	off      int
+	page     int
+	skip     int
 	toldDone bool
 }
 
@@ -374,8 +400,8 @@ func (p *Plan) NewFinalHandler(sources int) (*FinalHandler, error) {
 }
 
 // collect is where the hosted FinalBolt hands each closed (key, window)
-// result; it runs under h.mu (every bolt call sits inside the handler
-// lock).
+// result: it is encoded into the open page right away. It runs under
+// h.mu (every bolt call sits inside the handler lock).
 func (h *FinalHandler) collect(key string, hash uint64, start, end int64, v any) {
 	wr := wire.WindowResult{KeyHash: hash, Key: key, Start: start, End: end}
 	switch v := v.(type) {
@@ -388,7 +414,22 @@ func (h *FinalHandler) collect(key string, hash uint64, start, end int64, v any)
 		}
 		wr.Raw = h.rc.EncodeResult(key, v)
 	}
-	h.results = append(h.results, wr)
+	h.open = wire.AppendResult(h.open, &wr)
+	if h.openN++; h.openN == resultsPage {
+		h.seal()
+	}
+}
+
+// seal appends the open results to the log as one exactly sized page.
+func (h *FinalHandler) seal() {
+	if h.openN == 0 {
+		return
+	}
+	b := make([]byte, len(h.open))
+	copy(b, h.open)
+	h.pages = append(h.pages, resultPage{first: h.total, n: h.openN, b: b})
+	h.total += h.openN
+	h.open, h.openN = h.open[:0], 0
 }
 
 // HandleTuple implements transport.Handler: a final node consumes
@@ -428,6 +469,7 @@ func (h *FinalHandler) HandleMark(m wire.Mark) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.bolt.advance(mark{from: int(m.Source), of: h.sources, wm: m.WM}, nil)
+	h.seal()
 	if m.Final() {
 		h.finals[m.Source] = true
 		if len(h.finals) >= h.sources {
@@ -445,14 +487,22 @@ func (h *FinalHandler) HandleMark(m wire.Mark) {
 func (h *FinalHandler) HandleSubscribe(s wire.Subscribe, sink transport.ResultSink) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	off := int(s.Offset)
-	if off < 0 || off > len(h.results) {
-		off = len(h.results)
+	sub := &finalSub{sink: sink, page: len(h.pages)}
+	if off := int(s.Offset); off >= 0 && off < h.total {
+		sub.page = h.pageOf(off)
+		sub.skip = off - h.pages[sub.page].first
 	}
-	sub := &finalSub{sink: sink, off: off}
 	if h.pushTo(sub) {
 		h.subs = append(h.subs, sub)
 	}
+}
+
+// pageOf returns the index of the page holding log offset off
+// (0 ≤ off < h.total).
+func (h *FinalHandler) pageOf(off int) int {
+	return sort.Search(len(h.pages), func(i int) bool {
+		return h.pages[i].first+h.pages[i].n > off
+	})
 }
 
 // pushAll feeds every subscriber the results it has not seen, dropping
@@ -473,34 +523,84 @@ func (h *FinalHandler) pushAll() {
 	h.subs = alive
 }
 
-// pushTo writes the subscriber's outstanding results (paged, so one
-// push stays well under wire.MaxPayload) and, once the node is done,
-// exactly one Done frame. It reports whether the sink is still alive.
+// pushTo writes the subscriber's outstanding pages, one frame each,
+// and, once the node is done, exactly one Done frame. It reports
+// whether the sink is still alive.
 func (h *FinalHandler) pushTo(sub *finalSub) bool {
-	for sub.off < len(h.results) || (h.done && !sub.toldDone) {
-		end := sub.off + resultsPage
-		if end > len(h.results) {
-			end = len(h.results)
+	for sub.page < len(h.pages) || (h.done && !sub.toldDone) {
+		var body []byte
+		var n int
+		if sub.page < len(h.pages) {
+			pg := &h.pages[sub.page]
+			body, n = pg.b[pageSkip(pg.b, sub.skip):], pg.n-sub.skip
 		}
-		rep := wire.Reply{
-			Op:      wire.OpResults,
-			Done:    h.done && end == len(h.results),
-			Count:   int64(len(h.results)),
-			Results: h.results[sub.off:end],
-		}
-		if err := sub.sink.Push(&rep); err != nil {
+		done := h.done && sub.page >= len(h.pages)-1
+		h.frame = wire.AppendResultsHeader(h.frame[:0], int64(h.total), done, n, len(body))
+		h.frame = append(h.frame, body...)
+		if err := sub.sink.Push(h.frame); err != nil {
 			return false
 		}
-		sub.off = end
-		if rep.Done {
+		sub.page, sub.skip = min(sub.page+1, len(h.pages)), 0
+		if done {
 			sub.toldDone = true
 		}
 	}
 	return true
 }
 
-// resultsPage bounds one OpResults reply so large drains stay well
-// under wire.MaxPayload; clients page with Query.Key as the offset.
+// pageSkip returns the byte offset of result k in page bytes b.
+func pageSkip(b []byte, k int) int {
+	off := 0
+	for ; k > 0; k-- {
+		var res wire.WindowResult
+		n, err := wire.DecodeResult(b[off:], &res)
+		if err != nil {
+			panic(fmt.Sprintf("window: corrupt result page: %v", err))
+		}
+		off += n
+	}
+	return off
+}
+
+// from yields the logged results from offset off on, decoding pages
+// as it goes; the yielded pointer is only valid until the next one.
+func (h *FinalHandler) from(off int) iter.Seq[*wire.WindowResult] {
+	return func(yield func(*wire.WindowResult) bool) {
+		if off >= h.total {
+			return
+		}
+		var res wire.WindowResult
+		for p := h.pageOf(off); p < len(h.pages); p++ {
+			pg := &h.pages[p]
+			b := pg.b[pageSkip(pg.b, max(0, off-pg.first)):]
+			for len(b) > 0 {
+				n, err := wire.DecodeResult(b, &res)
+				if err != nil {
+					panic(fmt.Sprintf("window: corrupt result page: %v", err))
+				}
+				b = b[n:]
+				if !yield(&res) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// decode returns up to n logged results from offset off on.
+func (h *FinalHandler) decode(off, n int) []wire.WindowResult {
+	out := make([]wire.WindowResult, 0, max(0, min(n, h.total-off)))
+	for res := range h.from(off) {
+		if out = append(out, *res); len(out) == n {
+			break
+		}
+	}
+	return out
+}
+
+// resultsPage bounds one OpResults reply, and one page of the result
+// log, so large drains and pushes stay well under wire.MaxPayload;
+// clients page with Query.Key as the offset.
 const resultsPage = 32768
 
 // HandleQuery implements transport.Handler.
@@ -519,21 +619,15 @@ func (h *FinalHandler) HandleQuery(q wire.Query) wire.Reply {
 	switch q.Op {
 	case wire.OpResults:
 		off := int(q.Key)
-		if off < 0 || off > len(h.results) {
-			off = len(h.results)
+		if off < 0 || off > h.total {
+			off = h.total
 		}
-		end := off + resultsPage
-		if end > len(h.results) {
-			end = len(h.results)
-		}
-		out := make([]wire.WindowResult, end-off)
-		copy(out, h.results[off:end])
-		return wire.Reply{Op: q.Op, Done: h.done, Count: int64(len(h.results)), Results: out}
+		return wire.Reply{Op: q.Op, Done: h.done, Count: int64(h.total), Results: h.decode(off, resultsPage)}
 	case wire.OpCount:
 		var total int64
-		for i := range h.results {
-			if h.results[i].KeyHash == q.Key {
-				total += h.results[i].Value
+		for res := range h.from(0) {
+			if res.KeyHash == q.Key {
+				total += res.Value
 			}
 		}
 		return wire.Reply{Op: q.Op, Done: h.done, Count: total}
@@ -541,7 +635,7 @@ func (h *FinalHandler) HandleQuery(q wire.Query) wire.Reply {
 		// A final node has no outbound edge: the edge fields stay zero
 		// and only the window-progress half of the telemetry is live.
 		return wire.Reply{
-			Op: q.Op, Done: h.done, Count: int64(len(h.results)),
+			Op: q.Op, Done: h.done, Count: int64(h.total),
 			Stale:     wireHist(h.bolt.inst.hist.Snapshot()),
 			Telemetry: telemetry(h.bolt.WindowStats(), engine.EdgeStats{}, metrics.HistSnapshot{}),
 		}
@@ -579,13 +673,11 @@ func (h *FinalHandler) WaitDone(timeout time.Duration) error {
 	return nil
 }
 
-// Results returns a copy of the closed windows so far.
+// Results decodes the closed windows so far from the result log.
 func (h *FinalHandler) Results() []wire.WindowResult {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]wire.WindowResult, len(h.results))
-	copy(out, h.results)
-	return out
+	return h.decode(0, h.total)
 }
 
 // BadFrames counts frames the handler could not apply (raw tuples,

@@ -1,7 +1,10 @@
 package window
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -299,4 +302,127 @@ func TestFinalHandlerAnswersPointQueries(t *testing.T) {
 	if !rep.Done || rep.Count != 30 {
 		t.Fatalf("OpCount reply %+v, want done with 30", rep)
 	}
+}
+
+// frameSink is a transport.ResultSink that decodes every pushed frame.
+type frameSink struct {
+	reps []wire.Reply
+	err  error
+}
+
+func (s *frameSink) Push(frame []byte) error {
+	kind, p, err := wire.ReadFrame(bytes.NewReader(frame), nil)
+	if err == nil && kind != wire.KindReply {
+		err = fmt.Errorf("pushed a %v frame", kind)
+	}
+	if err == nil && len(frame) != wire.HeaderSize+len(p) {
+		err = fmt.Errorf("frame of %d bytes announces %d", len(frame), wire.HeaderSize+len(p))
+	}
+	var rep wire.Reply
+	if err == nil {
+		rep, err = wire.DecodeReply(p)
+	}
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	s.reps = append(s.reps, rep)
+	return nil
+}
+
+// TestSubscribeOffsetsAcrossPages: subscriptions opened at any offset
+// of a multi-page result log — its start, a page boundary, mid-page,
+// its end and past it; while windows still close and once the node is
+// done — receive exactly Results()[off:] in order with exactly one Done
+// frame, and OpResults paged from the same offsets agrees.
+func TestSubscribeOffsetsAcrossPages(t *testing.T) {
+	h, err := MustPlan(Count{}, Spec{Size: 10}).NewFinalHandler(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One page per closing mark, the third mark's split at resultsPage:
+	// pages [0,5) [5,6) [6,32774) [32774,32779) [32779,32783).
+	closeWindow := func(start int64, strKeys, intKeys int) {
+		for i := 0; i < strKeys; i++ {
+			key := fmt.Sprintf("w%d-k%05d", start, i)
+			h.HandlePartial(&wire.Partial{KeyHash: uint64(i), Key: key, Start: start, Count: int64(i + 1)})
+		}
+		for i := 0; i < intKeys; i++ {
+			h.HandlePartial(&wire.Partial{KeyHash: uint64(1000 + i), Start: start, Count: 2})
+		}
+		h.HandleMark(wire.Mark{WM: start + 10})
+	}
+	type session struct {
+		off  int
+		want int // where Results() starts for this session
+		sink *frameSink
+	}
+	var sessions []session
+	open := func(offs ...int) {
+		total := len(h.Results())
+		for _, off := range offs {
+			s := session{off: off, want: min(off, total), sink: &frameSink{}}
+			h.HandleSubscribe(wire.Subscribe{Offset: int64(off)}, s.sink)
+			sessions = append(sessions, s)
+		}
+	}
+
+	closeWindow(0, 3, 2)
+	closeWindow(10, 1, 0)
+	open(0, 3, 5, 6, 9) // live: start, mid-page, boundary, end, past it
+	closeWindow(20, resultsPage+5, 0)
+	closeWindow(30, 4, 0)
+	h.HandleMark(wire.Mark{WM: math.MaxInt64})
+	all := h.Results()
+	if len(all) != 32783 {
+		t.Fatalf("log holds %d results, want 32783", len(all))
+	}
+	open(0, 3, 5, 6, 106, 32774, 32780, 32783, 40000)
+
+	for _, s := range sessions {
+		var got []wire.WindowResult
+		dones := 0
+		for i, rep := range s.sink.reps {
+			if len(rep.Results) > resultsPage {
+				t.Fatalf("offset %d: frame of %d results", s.off, len(rep.Results))
+			}
+			got = append(got, rep.Results...)
+			if rep.Done {
+				dones++
+				if i != len(s.sink.reps)-1 {
+					t.Fatalf("offset %d: Done on frame %d of %d", s.off, i+1, len(s.sink.reps))
+				}
+			}
+		}
+		if s.sink.err != nil {
+			t.Fatalf("offset %d: %v", s.off, s.sink.err)
+		}
+		if dones != 1 {
+			t.Fatalf("offset %d: %d Done frames, want 1", s.off, dones)
+		}
+		if want := all[s.want:]; !sameResults(got, want) {
+			t.Fatalf("offset %d: pushed %d results, want %d (Results()[%d:])", s.off, len(got), len(want), s.want)
+		}
+	}
+
+	for _, off := range []int{0, 3, 5, 6, 106, 32774, 32780, 32783, 40000} {
+		var got []wire.WindowResult
+		for {
+			rep := h.HandleQuery(wire.Query{Op: wire.OpResults, Key: uint64(off + len(got))})
+			if !rep.Done || rep.Count != int64(len(all)) {
+				t.Fatalf("OpResults from %d: done %v, count %d", off, rep.Done, rep.Count)
+			}
+			if len(rep.Results) == 0 {
+				break
+			}
+			got = append(got, rep.Results...)
+		}
+		if want := all[min(off, len(all)):]; !sameResults(got, want) {
+			t.Fatalf("OpResults from %d: %d results, want %d", off, len(got), len(want))
+		}
+	}
+}
+
+// sameResults compares result lists, nil and empty alike.
+func sameResults(a, b []wire.WindowResult) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }

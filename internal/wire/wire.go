@@ -687,35 +687,9 @@ func AppendQuery(dst []byte, q Query) []byte {
 // AppendReply appends r as a framed KindReply to dst.
 func AppendReply(dst []byte, r *Reply) []byte {
 	dst, start := frame(dst, KindReply)
-	dst = append(dst, byte(r.Op))
-	dst = appendI64(dst, r.Count)
-	if r.Done {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(r.Results)))
+	dst = appendReplyPrefix(dst, r.Op, r.Count, r.Done, len(r.Results))
 	for i := range r.Results {
-		res := &r.Results[i]
-		var flags byte
-		if res.Key != "" {
-			flags |= 1
-		}
-		if res.Raw != nil {
-			flags |= 2
-		}
-		dst = append(dst, flags)
-		dst = appendU64(dst, res.KeyHash)
-		dst = appendI64(dst, res.Start)
-		dst = appendI64(dst, res.End)
-		if res.Raw != nil {
-			dst = appendBytes(dst, res.Raw)
-		} else {
-			dst = appendI64(dst, res.Value)
-		}
-		if res.Key != "" {
-			dst = appendStr(dst, res.Key)
-		}
+		dst = AppendResult(dst, &r.Results[i])
 	}
 	spanSec := r.Spans != nil || r.Proc != ""
 	if r.Lat != nil || r.Stale != nil || spanSec || r.Telemetry != nil {
@@ -784,6 +758,59 @@ func AppendReply(dst []byte, r *Reply) []byte {
 		}
 	}
 	return finish(dst, start)
+}
+
+// appendReplyPrefix appends the fixed head of a KindReply payload: the
+// operation, the count, the done flag and the number of results that
+// follow.
+func appendReplyPrefix(dst []byte, op QueryOp, count int64, done bool, n int) []byte {
+	dst = append(dst, byte(op))
+	dst = appendI64(dst, count)
+	if done {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendResult appends the encoding of one closed window — the
+// per-result layout of a KindReply payload — to dst. Encodings are
+// self-delimiting and carry the key bytes inline, so a final node keeps
+// runs of them as its result log and frames a run with
+// AppendResultsHeader, never encoding a result twice.
+func AppendResult(dst []byte, res *WindowResult) []byte {
+	var flags byte
+	if res.Key != "" {
+		flags |= 1
+	}
+	if res.Raw != nil {
+		flags |= 2
+	}
+	dst = append(dst, flags)
+	dst = appendU64(dst, res.KeyHash)
+	dst = appendI64(dst, res.Start)
+	dst = appendI64(dst, res.End)
+	if res.Raw != nil {
+		dst = appendBytes(dst, res.Raw)
+	} else {
+		dst = appendI64(dst, res.Value)
+	}
+	if res.Key != "" {
+		dst = appendStr(dst, res.Key)
+	}
+	return dst
+}
+
+// AppendResultsHeader appends the frame header and payload head of an
+// OpResults KindReply carrying n pre-encoded results (AppendResult
+// output) that span bodyLen bytes. Followed by those bytes, it is the
+// frame AppendReply writes for the same Reply.
+func AppendResultsHeader(dst []byte, count int64, done bool, n, bodyLen int) []byte {
+	dst, start := frame(dst, KindReply)
+	dst = appendReplyPrefix(dst, OpResults, count, done, n)
+	binary.LittleEndian.PutUint32(dst[start-4:start], uint32(len(dst)-start+bodyLen))
+	return dst
 }
 
 // Entry ids of the Reply trailing section.
@@ -1246,36 +1273,8 @@ func DecodeReply(b []byte) (Reply, error) {
 	}
 	for i := uint64(0); i < n; i++ {
 		var res WindowResult
-		flags, err := r.byte()
-		if err != nil {
+		if err := decodeResult(&r, &res); err != nil {
 			return Reply{}, err
-		}
-		if res.KeyHash, err = r.u64(); err != nil {
-			return Reply{}, err
-		}
-		if res.Start, err = r.i64(); err != nil {
-			return Reply{}, err
-		}
-		if res.End, err = r.i64(); err != nil {
-			return Reply{}, err
-		}
-		if flags&2 != 0 {
-			if res.Raw, err = r.bytes(); err != nil {
-				return Reply{}, err
-			}
-			if res.Raw == nil {
-				res.Raw = []byte{}
-			}
-		} else if res.Value, err = r.i64(); err != nil {
-			return Reply{}, err
-		}
-		if flags&1 != 0 {
-			if res.Key, err = r.str(); err != nil {
-				return Reply{}, err
-			}
-			if res.Key == "" {
-				return Reply{}, fmt.Errorf("wire: result key flag set on empty key")
-			}
 		}
 		rep.Results = append(rep.Results, res)
 	}
@@ -1323,6 +1322,52 @@ func DecodeReply(b []byte) (Reply, error) {
 		return Reply{}, err
 	}
 	return rep, nil
+}
+
+// DecodeResult decodes the AppendResult encoding at the front of b into
+// res and returns its length in bytes.
+func DecodeResult(b []byte, res *WindowResult) (int, error) {
+	r := reader{b: b}
+	*res = WindowResult{}
+	err := decodeResult(&r, res)
+	return r.off, err
+}
+
+// decodeResult decodes one result encoding at r's cursor into res (a
+// zero value).
+func decodeResult(r *reader, res *WindowResult) error {
+	flags, err := r.byte()
+	if err != nil {
+		return err
+	}
+	if res.KeyHash, err = r.u64(); err != nil {
+		return err
+	}
+	if res.Start, err = r.i64(); err != nil {
+		return err
+	}
+	if res.End, err = r.i64(); err != nil {
+		return err
+	}
+	if flags&2 != 0 {
+		if res.Raw, err = r.bytes(); err != nil {
+			return err
+		}
+		if res.Raw == nil {
+			res.Raw = []byte{}
+		}
+	} else if res.Value, err = r.i64(); err != nil {
+		return err
+	}
+	if flags&1 != 0 {
+		if res.Key, err = r.str(); err != nil {
+			return err
+		}
+		if res.Key == "" {
+			return fmt.Errorf("wire: result key flag set on empty key")
+		}
+	}
+	return nil
 }
 
 // decodeSpanSection decodes the span entry (secIDSpans) of a Reply's

@@ -101,6 +101,16 @@ func encodeAll(t testing.TB) [][]byte {
 		EdgeInFlight: 1, EdgeFrames: 10, ServiceNs: 90, EdgeWindow: 2048,
 		CreditWait: &LatencyHist{Sum: 3e6, Buckets: []HistBucket{{Index: 870, Count: 1}}},
 	}}), nil)
+	// A final node's page push: pre-encoded results under one header.
+	var page []byte
+	for _, r := range []WindowResult{
+		{KeyHash: 31, Key: "paged", Start: 0, End: 50e6, Value: 12},
+		{KeyHash: 32, Start: 50e6, End: 100e6, Value: 1},
+		{KeyHash: 33, Key: "raw", Start: 50e6, End: 100e6, Raw: []byte{4, 2}},
+	} {
+		page = AppendResult(page, &r)
+	}
+	add(append(AppendResultsHeader(nil, 7, true, 3, len(page)), page...), nil)
 	return frames
 }
 
@@ -292,6 +302,52 @@ func TestTupleBatchHeaderMatchesAppend(t *testing.T) {
 	got = append(got, bodies...)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("two-write framing differs\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestResultsHeaderMatchesAppend: framing pre-encoded results with
+// AppendResultsHeader is byte-identical to AppendReply for the same
+// Reply — a final node's page pushes speak exactly the old frames — and
+// DecodeResult walks the encodings back.
+func TestResultsHeaderMatchesAppend(t *testing.T) {
+	for _, rep := range []Reply{
+		{Op: OpResults, Count: 2, Results: []WindowResult{
+			{KeyHash: 1, Key: "gopher", Start: 0, End: 50e6, Value: 7},
+			{KeyHash: 2, Key: "heron", Start: 50e6, End: 100e6, Value: -3},
+		}},
+		{Op: OpResults, Count: 9, Results: []WindowResult{
+			{KeyHash: 1 << 63, Start: -5, End: 5, Value: math.MaxInt64},
+		}},
+		{Op: OpResults, Count: 3, Done: true, Results: []WindowResult{
+			{KeyHash: 4, Key: "state", Start: 1, End: 2, Raw: []byte{0xca, 0xfe}},
+			{KeyHash: 5, Start: 1, End: 2, Raw: []byte{}},
+		}},
+		{Op: OpResults, Count: 40, Done: true},
+	} {
+		want := AppendReply(nil, &rep)
+		var body []byte
+		for i := range rep.Results {
+			body = AppendResult(body, &rep.Results[i])
+		}
+		got := AppendResultsHeader(nil, rep.Count, rep.Done, len(rep.Results), len(body))
+		got = append(got, body...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page framing differs\n got %x\nwant %x", got, want)
+		}
+		var res WindowResult
+		for i := range rep.Results {
+			n, err := DecodeResult(body, &res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, rep.Results[i]) {
+				t.Fatalf("result %d: got %+v, want %+v", i, res, rep.Results[i])
+			}
+			body = body[n:]
+		}
+		if len(body) != 0 {
+			t.Fatalf("%d bytes left after the last result", len(body))
+		}
 	}
 }
 
