@@ -1,55 +1,23 @@
 package pkgstream
 
 import (
-	"pkgstream/internal/cluster"
+	"pkgstream/internal/graphstream"
 	"pkgstream/internal/heavyhitters"
+	"pkgstream/internal/naivebayes"
+	"pkgstream/internal/spdt"
 	"pkgstream/internal/wordcount"
 )
 
-// Application and cluster-experiment surface.
-
-// Cluster simulation (Figure 5 methodology).
-
-// ClusterParams configures a simulated Storm-like deployment.
-type ClusterParams = cluster.Params
-
-// ClusterResult reports throughput, latency and memory.
-type ClusterResult = cluster.Result
-
-// ClusterMethod selects the partitioning strategy at the source.
-type ClusterMethod = cluster.Method
-
-// Cluster partitioning strategies.
-const (
-	// ClusterKG is key grouping with running counters.
-	ClusterKG = cluster.KG
-	// ClusterPKG is partial key grouping with local load estimation.
-	ClusterPKG = cluster.PKG
-	// ClusterSG is shuffle grouping.
-	ClusterSG = cluster.SG
-)
-
-// ClusterDefaults returns the calibrated Figure 5 configuration.
-func ClusterDefaults(m ClusterMethod) ClusterParams { return cluster.Defaults(m) }
-
-// RunCluster executes the discrete-event cluster simulation.
-func RunCluster(p ClusterParams) (ClusterResult, error) { return cluster.Run(p) }
-
 // Heavy hitters (§VI.C).
-
-// SpaceSaving is the Metwally et al. top-k sketch with O(1) updates.
-type SpaceSaving = heavyhitters.SpaceSaving
-
-// Counted is an item with estimated count and error bound.
-type Counted = heavyhitters.Counted
-
-// HeavyHitters is the distributed top-k tracker: one SpaceSaving summary
-// per worker, items routed by the chosen strategy; PKG queries probe
-// exactly two workers per item.
-type HeavyHitters = heavyhitters.Distributed
-
-// HHStrategy selects the heavy hitters routing strategy.
-type HHStrategy = heavyhitters.Strategy
+type (
+	// SpaceSaving is the Metwally et al. top-k sketch with O(1) updates.
+	SpaceSaving = heavyhitters.SpaceSaving
+	// HeavyHitters is the distributed top-k tracker: one SpaceSaving
+	// summary per worker; PKG queries probe two workers per item.
+	HeavyHitters = heavyhitters.Distributed
+	// HHStrategy selects the heavy hitters routing strategy.
+	HHStrategy = heavyhitters.Strategy
+)
 
 // Heavy-hitter routing strategies.
 const (
@@ -64,47 +32,20 @@ const (
 // NewSpaceSaving returns a SpaceSaving summary of capacity k.
 func NewSpaceSaving(k int) *SpaceSaving { return heavyhitters.New(k) }
 
-// MergeSummaries merges SpaceSaving summaries into capacity k
-// (Berinde-style error accounting).
-func MergeSummaries(k int, summaries ...*SpaceSaving) *SpaceSaving {
-	return heavyhitters.Merge(k, summaries...)
-}
-
-// NewHeavyHitters returns a distributed top-k tracker over w workers with
-// per-worker capacity k.
+// NewHeavyHitters returns a top-k tracker over w workers of capacity k.
 func NewHeavyHitters(w, k int, strategy HHStrategy, seed uint64) *HeavyHitters {
 	return heavyhitters.NewDistributed(w, k, strategy, seed)
 }
 
-// TopKAggregator is the SpaceSaving-backed WindowAggregator behind the
-// distributed top-k: per-instance partial summaries, merged downstream
-// with Berinde-style error accounting.
-type TopKAggregator = heavyhitters.TopKAgg
-
-// HHTopologyConfig parameterizes the distributed top-k topology on the
-// live engine.
-type HHTopologyConfig = heavyhitters.TopologyConfig
-
-// HHTopologyOutput collects the merged top-K of a topology run.
-type HHTopologyOutput = heavyhitters.TopologyOutput
-
-// BuildHeavyHittersTopology assembles the §VI.C distributed top-k as an
-// engine topology: item spouts → windowed SpaceSaving partials → merged
-// final stage → top-K sink.
-func BuildHeavyHittersTopology(cfg HHTopologyConfig) (*Topology, *HHTopologyOutput, error) {
-	return heavyhitters.BuildTopology(cfg)
-}
-
 // Word count (the paper's running example, §II.A).
-
-// WordCount is a word with its count.
-type WordCount = wordcount.WordCount
-
-// WordCountConfig parameterizes a streaming top-k word count topology.
-type WordCountConfig = wordcount.Config
-
-// WordCountOutput collects a topology run's results.
-type WordCountOutput = wordcount.Output
+type (
+	// WordCount is a word with its count.
+	WordCount = wordcount.WordCount
+	// WordCountConfig parameterizes a streaming top-k word count topology.
+	WordCountConfig = wordcount.Config
+	// WordCountOutput collects a topology run's results.
+	WordCountOutput = wordcount.Output
+)
 
 // Word count grouping choices.
 const (
@@ -120,3 +61,98 @@ const (
 func BuildWordCount(cfg WordCountConfig) (*Topology, *WordCountOutput, error) {
 	return wordcount.Build(cfg)
 }
+
+// Naive Bayes (§VI.A).
+type (
+	// NBModel is the exact sequential naive Bayes baseline.
+	NBModel = naivebayes.Model
+	// NBDistributed is the vertically parallelized classifier; PKG
+	// queries probe two workers per token.
+	NBDistributed = naivebayes.Distributed
+	// NBStrategy selects the token-routing strategy.
+	NBStrategy = naivebayes.Strategy
+	// NBGenerator produces synthetic text-like classification data.
+	NBGenerator = naivebayes.Generator
+)
+
+// Naive Bayes routing strategies.
+const (
+	// NBByPKG tracks each token on at most two workers.
+	NBByPKG = naivebayes.ByPKG
+	// NBByKey tracks each token on exactly one worker.
+	NBByKey = naivebayes.ByKey
+	// NBByShuffle spreads tokens over all workers (broadcast queries).
+	NBByShuffle = naivebayes.ByShuffle
+)
+
+// NewNBModel returns an empty sequential model.
+func NewNBModel(classes int, vocab uint64, alpha float64) *NBModel {
+	return naivebayes.NewModel(classes, vocab, alpha)
+}
+
+// NewNBDistributed returns a distributed classifier over w workers.
+func NewNBDistributed(w, classes int, vocab uint64, alpha float64, strategy NBStrategy, seed uint64) *NBDistributed {
+	return naivebayes.NewDistributed(w, classes, vocab, alpha, strategy, seed)
+}
+
+// NewNBGenerator returns a deterministic sample generator.
+func NewNBGenerator(classes int, vocab uint64, docLen int, p1 float64, seed uint64) *NBGenerator {
+	return naivebayes.NewGenerator(classes, vocab, docLen, p1, seed)
+}
+
+// Streaming parallel decision tree (§VI.B).
+type (
+	// SPDTParams configures a streaming decision tree.
+	SPDTParams = spdt.Params
+	// SPDTTree is the sequential streaming decision tree.
+	SPDTTree = spdt.Tree
+	// SPDTTrainer is the parallel trainer (workers + aggregator).
+	SPDTTrainer = spdt.Trainer
+	// SPDTStrategy selects the data-parallelization strategy.
+	SPDTStrategy = spdt.Strategy
+	// SPDTDataGen produces synthetic Gaussian classification data.
+	SPDTDataGen = spdt.DataGen
+)
+
+// SPDT parallelization strategies.
+const (
+	// SPDTShuffle sends whole samples round-robin (W·D·C·L histograms).
+	SPDTShuffle = spdt.ShuffleSamples
+	// SPDTPKG routes per-feature sub-messages with PKG (2·D·C·L).
+	SPDTPKG = spdt.PKGFeatures
+	// SPDTKey routes per-feature sub-messages by hash (D·C·L).
+	SPDTKey = spdt.KeyFeatures
+)
+
+// NewSPDTTree returns a single-leaf sequential tree.
+func NewSPDTTree(params SPDTParams) (*SPDTTree, error) { return spdt.New(params) }
+
+// NewSPDTTrainer returns a trainer over w workers syncing every batchSize
+// samples.
+func NewSPDTTrainer(params SPDTParams, w int, strategy SPDTStrategy, batchSize int, seed uint64) (*SPDTTrainer, error) {
+	return spdt.NewTrainer(params, w, strategy, batchSize, seed)
+}
+
+// NewSPDTDataGen returns a deterministic Gaussian data generator.
+func NewSPDTDataGen(features, classes, informative int, shift float64, seed uint64) *SPDTDataGen {
+	return spdt.NewDataGen(features, classes, informative, shift, seed)
+}
+
+// Graph streaming (§V Q3).
+type (
+	// InDegree is the streaming in-degree computation over PKG workers.
+	InDegree = graphstream.InDegree
+	// InDegreeConfig parameterizes an in-degree run.
+	InDegreeConfig = graphstream.Config
+)
+
+// Source assignment choices for InDegree.
+const (
+	// InDegreeUniformSources deals edges to sources round-robin.
+	InDegreeUniformSources = graphstream.UniformSources
+	// InDegreeKeyedSources key-groups edges onto sources (skewed).
+	InDegreeKeyedSources = graphstream.KeyedSources
+)
+
+// NewInDegree returns an empty in-degree computation.
+func NewInDegree(cfg InDegreeConfig) *InDegree { return graphstream.New(cfg) }

@@ -8,20 +8,17 @@ import (
 // Dataset surface: the paper's eight Table I workloads as synthetic
 // generators matched on (messages, keys, p1), plus the simulation
 // harness that reproduces the paper's §V measurements.
+type (
+	// Dataset describes one workload (Table I row) and opens streams of it.
+	Dataset = dataset.Spec
+	// Stream produces a dataset's messages in timestamp order.
+	Stream = dataset.Stream
+	// DatasetStats summarizes an observed stream prefix.
+	DatasetStats = dataset.Stats
+)
 
-// Dataset describes one workload (Table I row) and opens streams of it.
-type Dataset = dataset.Spec
-
-// Msg is one stream message (key, source-side key, timestamp in hours).
-type Msg = dataset.Msg
-
-// Stream produces a dataset's messages in timestamp order.
-type Stream = dataset.Stream
-
-// DatasetStats summarizes an observed stream prefix.
-type DatasetStats = dataset.Stats
-
-// The paper's datasets (Table I) at full scale; scale down with WithCap.
+// Table I datasets at full scale; scale down with WithCap. Datasets and
+// DatasetBySymbol reach all eight.
 var (
 	// Wikipedia is the WP page-view log shape (22M msgs, 2.9M keys, p1 9.32%).
 	Wikipedia = dataset.WP
@@ -29,19 +26,13 @@ var (
 	Twitter = dataset.TW
 	// Cashtags is the CT drifting-popularity shape (690k msgs, 2.9k keys, p1 3.29%).
 	Cashtags = dataset.CT
-	// Synthetic1 is the LN1 log-normal shape (µ=1.789, σ=2.366).
-	Synthetic1 = dataset.LN1
 	// Synthetic2 is the LN2 log-normal shape (µ=2.245, σ=1.133).
 	Synthetic2 = dataset.LN2
 	// LiveJournal is the LJ graph edge stream (69M edges, 4.9M vertices).
 	LiveJournal = dataset.LJ
-	// Slashdot0811 is the SL1 graph edge stream.
-	Slashdot0811 = dataset.SL1
-	// Slashdot0902 is the SL2 graph edge stream.
-	Slashdot0902 = dataset.SL2
 )
 
-// Datasets lists all of the above in Table I order.
+// Datasets lists the eight Table I workloads in order.
 func Datasets() []Dataset { return append([]Dataset(nil), dataset.All...) }
 
 // DatasetBySymbol resolves a Table I symbol (WP, TW, CT, LN1, LN2, LJ,
@@ -55,48 +46,19 @@ func MeasureStream(s Stream, maxMessages int64) DatasetStats {
 }
 
 // Simulation surface (the §V methodology).
+type (
+	// SimOptions configures a load-balancing simulation run.
+	SimOptions = simulate.Options
+	// SimResult reports a simulation's measurements.
+	SimResult = simulate.Result
+)
 
-// SimOptions configures a load-balancing simulation run.
-type SimOptions = simulate.Options
-
-// SimResult reports a simulation's measurements.
-type SimResult = simulate.Result
-
-// SimMethod selects the partitioning technique under test.
-type SimMethod = simulate.Method
-
-// SimLoadInfo selects the load-information model for PKG.
-type SimLoadInfo = simulate.LoadInfo
-
-// SimAssignment selects how messages are divided among sources.
-type SimAssignment = simulate.Assignment
-
-// Simulation technique and information-model constants.
+// PKG with per-source local load estimation — the paper's L model.
 const (
-	// SimHashing is key grouping by a single hash (baseline H).
-	SimHashing = simulate.Hashing
-	// SimShuffle is round-robin shuffle grouping.
-	SimShuffle = simulate.Shuffle
 	// SimPKG is partial key grouping.
 	SimPKG = simulate.PKG
-	// SimPoTC is the power of two choices without key splitting.
-	SimPoTC = simulate.PoTC
-	// SimOnGreedy is the online greedy baseline.
-	SimOnGreedy = simulate.OnGreedy
-	// SimOffGreedy is the clairvoyant LPT baseline.
-	SimOffGreedy = simulate.OffGreedy
-
-	// InfoGlobal gives PKG sources the true loads (oracle G).
-	InfoGlobal = simulate.Global
 	// InfoLocal gives each source only its own estimate (L).
 	InfoLocal = simulate.Local
-	// InfoProbing is local estimation with periodic refreshes (LP).
-	InfoProbing = simulate.Probing
-
-	// SourcesShuffled deals messages to sources round-robin.
-	SourcesShuffled = simulate.ShuffleSources
-	// SourcesKeyed key-groups messages onto sources (skewed, Figure 4).
-	SourcesKeyed = simulate.KeySources
 )
 
 // Simulate routes a dataset's stream under the given options and returns

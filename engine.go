@@ -1,59 +1,42 @@
 package pkgstream
 
 import (
+	"time"
+
 	"pkgstream/internal/engine"
+	"pkgstream/internal/transport"
 	"pkgstream/internal/window"
+	"pkgstream/internal/wire"
 )
 
 // Storm-like engine surface: build a Topology with NewTopologyBuilder,
 // choose groupings per edge (GroupPartial is the paper's contribution as
 // a drop-in grouping), and execute it with NewRuntime. Each component
 // instance (PEI) runs on its own goroutine behind a bounded queue.
-
-// Tuple is the unit of data flowing through a topology.
-type Tuple = engine.Tuple
-
-// Values is a tuple payload.
-type Values = engine.Values
-
-// Spout is a stream source.
-type Spout = engine.Spout
-
-// Bolt is a stream operator.
-type Bolt = engine.Bolt
-
-// BoltFunc adapts a function to Bolt.
-type BoltFunc = engine.BoltFunc
-
-// Emitter sends tuples downstream (blocking on full queues).
-type Emitter = engine.Emitter
-
-// Context identifies a component instance.
-type Context = engine.Context
-
-// Topology is a validated dataflow DAG.
-type Topology = engine.Topology
-
-// TopologyBuilder assembles a Topology.
-type TopologyBuilder = engine.Builder
-
-// BoltDecl is a bolt under construction (chain Input/TickEvery).
-type BoltDecl = engine.BoltDecl
-
-// Runtime executes a Topology.
-type Runtime = engine.Runtime
-
-// RuntimeOptions configures a Runtime.
-type RuntimeOptions = engine.Options
-
-// TopologyStats is a snapshot of per-instance counters.
-type TopologyStats = engine.Stats
-
-// Grouping routes one tuple to a downstream instance.
-type Grouping = engine.Grouping
-
-// GroupingFactory builds one Grouping per emitting instance and edge.
-type GroupingFactory = engine.GroupingFactory
+type (
+	// Tuple is the unit of data flowing through a topology.
+	Tuple = engine.Tuple
+	// Spout is a stream source.
+	Spout = engine.Spout
+	// Bolt is a stream operator.
+	Bolt = engine.Bolt
+	// BoltFunc adapts a function to Bolt.
+	BoltFunc = engine.BoltFunc
+	// Emitter sends tuples downstream (blocking on full queues).
+	Emitter = engine.Emitter
+	// Context identifies a component instance.
+	Context = engine.Context
+	// Topology is a validated dataflow DAG.
+	Topology = engine.Topology
+	// TopologyBuilder assembles a Topology.
+	TopologyBuilder = engine.Builder
+	// Runtime executes a Topology.
+	Runtime = engine.Runtime
+	// RuntimeOptions configures a Runtime.
+	RuntimeOptions = engine.Options
+	// GroupingFactory builds one grouping per emitting instance and edge.
+	GroupingFactory = engine.GroupingFactory
+)
 
 // NewTopologyBuilder starts a topology definition; seed drives all
 // grouping hash functions.
@@ -66,192 +49,118 @@ func NewRuntime(top *Topology, opts RuntimeOptions) *Runtime {
 	return engine.NewRuntime(top, opts)
 }
 
-// GroupRouter exposes a coordination-free strategy of the shared
-// routing core as an engine grouping: one router per emitting instance,
-// with a per-emitter load view for PKG. d is the number of choices for
-// StrategyPKG and is ignored otherwise. Only StrategyKG, StrategySG and
-// StrategyPKG are accepted: the table-keeping strategies (PoTC,
-// OnGreedy, OffGreedy) need state shared across emitters — exactly the
-// coordination PKG removes — and panic at construction.
-func GroupRouter(s Strategy, d int) GroupingFactory { return engine.Router(s, d) }
-
 // GroupPartial is PARTIAL KEY GROUPING as an engine grouping: two hash
 // choices, per-emitter local load estimation, no coordination.
 func GroupPartial() GroupingFactory { return engine.Partial() }
 
-// GroupPartialN is Greedy-d partial key grouping with d choices.
-func GroupPartialN(d int) GroupingFactory { return engine.PartialN(d) }
-
-// GroupByKey is key grouping (fields grouping): one instance per key.
-func GroupByKey() GroupingFactory { return engine.Key() }
-
-// GroupShuffle is round-robin shuffle grouping.
-func GroupShuffle() GroupingFactory { return engine.Shuffle() }
-
 // GroupGlobal sends every tuple to instance 0 (single aggregator).
 func GroupGlobal() GroupingFactory { return engine.Global() }
 
-// GroupBroadcast delivers every tuple to every instance.
-func GroupBroadcast() GroupingFactory { return engine.Broadcast() }
+// Windowed two-phase aggregation (internal/window): PKG splits each key
+// over two workers, so a downstream phase merges their partial results
+// (§V Q4). TopologyBuilder.WindowedAggregate(name, plan, parallelism)
+// declares one: a partial stage name+".partial" and a final stage name.
+type (
+	// WindowSpec configures window assignment (tumbling/sliding/global)
+	// and flushing (period T, tuple count, lateness, memory cap). The
+	// zero value is a single global window flushed at stream end.
+	WindowSpec = window.Spec
+	// WindowAggregator is the init/accumulate/merge/emit contract of a
+	// two-phase aggregation.
+	WindowAggregator = window.Aggregator
+	// WindowPlan binds a WindowAggregator to a WindowSpec. Build a fresh
+	// plan per topology run.
+	WindowPlan = window.Plan
+	// WindowResult is the payload (Values[0]) of a final-stage output
+	// tuple: one closed (key, window) pair and its aggregated value.
+	WindowResult = window.Result
+)
 
-// Windowed two-phase aggregation (internal/window): because partial key
-// grouping splits each key over two workers, every PKG topology needs a
-// downstream phase that periodically merges partial results — the
-// aggregation period T trades worker memory against throughput (§V Q4,
-// Figure 5(b)). Declare one with
-// TopologyBuilder.WindowedAggregate(name, plan, parallelism), which
-// expands into a partial stage name+".partial" and a merging final
-// stage name.
-
-// WindowSpec configures window assignment (tumbling/sliding/global) and
-// flushing (period T, tuple count, lateness, memory cap) for a windowed
-// aggregation. The zero value is a single global window flushed at
-// stream end.
-type WindowSpec = window.Spec
-
-// WindowAggregator is the init/accumulate/merge/emit contract of a
-// two-phase aggregation.
-type WindowAggregator = window.Aggregator
-
-// WindowCombiner is the fast path for commutative int64 counters.
-type WindowCombiner = window.Combiner
-
-// WindowPlan binds a WindowAggregator to a WindowSpec; it is the
-// WindowedOp a TopologyBuilder.WindowedAggregate declaration consumes.
-// Build a fresh plan per topology run.
-type WindowPlan = window.Plan
-
-// WindowResult is the payload (Values[0]) of a final-stage output
-// tuple: one closed (key, window) pair and its aggregated value.
-type WindowResult = window.Result
-
-// WindowedOp is the engine-side contract WindowPlan implements.
-type WindowedOp = engine.WindowedOp
-
-// WindowStats are the per-instance windowing counters surfaced through
-// TopologyStats.Windows (and folded by TopologyStats.WindowTotals).
-type WindowStats = engine.WindowStats
-
-// NewWindowPlan validates spec and binds it to the aggregator.
-func NewWindowPlan(agg WindowAggregator, spec WindowSpec) (*WindowPlan, error) {
-	return window.NewPlan(agg, spec)
-}
-
-// MustWindowPlan is NewWindowPlan that panics on error, for fluent
-// topology construction.
+// MustWindowPlan validates spec and binds it to the aggregator,
+// panicking on error.
 func MustWindowPlan(agg WindowAggregator, spec WindowSpec) *WindowPlan {
 	return window.MustPlan(agg, spec)
 }
 
-// CountAggregator counts tuples per (key, window) — a WindowCombiner.
+// CountAggregator counts tuples per (key, window) — a window.Combiner.
 func CountAggregator() WindowAggregator { return window.Count{} }
 
-// SumAggregator sums the integer tuple field at the given Values index
-// per (key, window) — a WindowCombiner.
-func SumAggregator(field int) WindowAggregator { return window.Sum{Field: field} }
+// SourceMark returns the control tuple by which a spout promises that
+// source `source` will never again emit event time below wm. With
+// GroupSourceAware and WindowSpec.Sources set, the watermark is the
+// exact minimum across sources.
+func SourceMark(source int, wm int64) Tuple { return window.SourceMark(source, wm) }
 
-// Distributed windowed aggregation (internal/wire + internal/window's
-// remote half): the final stage of a WindowedAggregate can live in
-// another process behind the TCP wire protocol — partials and
-// watermarks are serialized frames, and the remote node hosts the
-// merge. See README "Running distributed" and cmd/pkgnode.
+// GroupSourceAware wraps a spout→partial grouping so SourceMark tuples
+// broadcast to every partial instance while data routes through g.
+func GroupSourceAware(g GroupingFactory) GroupingFactory { return window.SourceAware(g) }
 
-// WindowedOption customizes a WindowedAggregate declaration.
-type WindowedOption = engine.WindowedOption
+// Distributed windowed aggregation: either stage of a WindowedAggregate
+// can run in another process, a TCP worker speaking the wire protocol
+// (internal/wire). See README "Running distributed" and cmd/pkgnode.
+type (
+	// WindowedOption customizes a WindowedAggregate declaration.
+	WindowedOption = engine.WindowedOption
+	// WindowFinalHost is the handler of a remote final stage: it merges
+	// partials and closes windows on the minimum source watermark.
+	WindowFinalHost = window.FinalHandler
+	// WindowPartialHost is the handler of a remote partial stage: it
+	// accumulates tuples and forwards flushed partials to final nodes.
+	WindowPartialHost = window.PartialHandler
+	// WindowPartialHostOptions names a partial node (index, node count)
+	// and its final nodes (addresses, key→final hash seed).
+	WindowPartialHostOptions = window.PartialHandlerOptions
+	// NetWorker is a TCP server dispatching decoded wire frames to its
+	// handler.
+	NetWorker = transport.Worker
+	// NetHandler is the processing side of a TCP worker; calls are
+	// serialized.
+	NetHandler = transport.Handler
+	// NetWindowResult is one closed (key, window) pair collected from a
+	// remote final node.
+	NetWindowResult = wire.WindowResult
+)
 
 // WindowRemoteFinal replaces the aggregation's in-process final stage
 // with a forwarder shipping partials (key-grouped) and watermarks to
-// remote final nodes — pkgnode processes, or ListenNetFinal listeners.
+// remote final nodes: pkgnode processes, or ListenNetHandler listeners
+// serving a WindowFinalHost.
 func WindowRemoteFinal(addrs ...string) WindowedOption { return engine.RemoteFinal(addrs...) }
 
-// WindowRemotePartial runs the aggregation's PARTIAL stage on remote
-// nodes (`pkgnode -mode partial`, or NewWindowPartialHost listeners):
-// raw tuples cross a credit-flow-controlled wire edge — a slow node
-// stalls the spout exactly like a full local queue, never ballooning a
-// TCP buffer — and the nodes forward their flushed partials to their
-// configured final nodes. The spec must use SourceMark watermarks
-// (WindowSpec.Sources ≥ 1).
+// WindowRemotePartial runs the aggregation's partial stage on remote
+// nodes serving a WindowPartialHost. Raw tuples cross a credit-flow-
+// controlled wire edge, so a slow node stalls the spout like a full
+// local queue. The spec must use SourceMark watermarks.
 func WindowRemotePartial(addrs ...string) WindowedOption { return engine.RemotePartial(addrs...) }
 
-// RemotePartialConfig carries the explicit knobs of the spout→partial
-// wire edge: routing strategy, credit window (in tuples), and the
-// tuple-batching parameters (batch size, batch bytes, linger).
-type RemotePartialConfig = engine.RemotePartialConfig
-
-// WindowRemotePartialOpts is WindowRemotePartial with explicit edge
-// configuration.
-func WindowRemotePartialOpts(cfg RemotePartialConfig) WindowedOption {
-	return engine.RemotePartialOpts(cfg)
-}
-
-// EdgeStats are the flow counters of one remote topology edge: tuples
-// and frames shipped (their ratio is the effective batching depth),
-// credit stalls (remote backpressure made visible), reconnect retries
-// and exhausted failures. Per-component snapshots live in
-// TopologyStats.Edges.
-type EdgeStats = engine.EdgeStats
-
-// EdgeError is the typed failure a topology run returns when a remote
-// edge exhausted its bounded retries — errors.As it out of Run's error
-// to learn which component lost which nodes.
-type EdgeError = engine.EdgeError
-
-// LatencyStats is one end-to-end latency histogram snapshot:
-// constant-memory and mergeable across instances, with Quantile(p) for
-// p50/p99/p999 and Sub for interval rates. Per-series snapshots live in
-// TopologyStats.Latency — a sink component's name carries emit→sink
-// delivery latency, a windowed partial stage's name carries
-// emit→arrival latency, and "<final>.staleness" carries window-close
-// staleness. Sampling is governed by RuntimeOptions.LatencySample, and
-// RuntimeOptions.MetricsAddr serves every series over GET /metrics.
-type LatencyStats = engine.LatencyStats
-
-// WindowStateCodec is the optional WindowAggregator extension non-
-// Combiner aggregations need to cross a process boundary: partial
-// accumulators must have a wire form.
-type WindowStateCodec = window.StateCodec
-
-// WindowFinalHost hosts a windowed final stage behind a TCP worker:
-// partials merge, windows close on the minimum watermark across
-// sources, closed results serve point queries. Pass it to
-// ListenNetFinal (it is the transport handler).
-type WindowFinalHost = window.FinalHandler
-
 // NewWindowFinalHost builds the remote-final host for a plan. sources
-// is the number of upstream mark-emitting sources — the partial stage's
-// parallelism in a WindowRemoteFinal topology, or the partial NODE
-// count in a WindowRemotePartial one.
+// counts the upstream mark-emitting sources: the partial stage's
+// parallelism, or the partial node count under WindowRemotePartial.
 func NewWindowFinalHost(plan *WindowPlan, sources int) (*WindowFinalHost, error) {
 	return plan.NewFinalHandler(sources)
 }
 
-// WindowPartialHost hosts a windowed PARTIAL stage behind a TCP
-// worker: tuples accumulate per (key, window), flushes follow the
-// plan's aggregation period, and partials forward — with bounded-
-// backoff retry — to the final nodes. Pass it to ListenNetHandler.
-type WindowPartialHost = window.PartialHandler
-
-// WindowPartialHostOptions configures a hosted partial stage: this
-// node's index, the partial node count, the final node addresses and
-// the shared key→final hash seed.
-type WindowPartialHostOptions = window.PartialHandlerOptions
-
-// NewWindowPartialHost builds the remote-partial host for a plan — the
-// engine room of `pkgnode -mode partial`. The plan must use SourceMark
-// watermarks (WindowSpec.Sources ≥ 1), and the final nodes must be
+// NewWindowPartialHost builds the remote-partial host for a plan. The
+// plan must use SourceMark watermarks, and the final nodes must be
 // listening (they are dialed here).
 func NewWindowPartialHost(plan *WindowPlan, o WindowPartialHostOptions) (*WindowPartialHost, error) {
 	return plan.NewPartialHandler(o)
 }
 
-// SourceMark returns the control tuple a spout emits to advertise that
-// source `source` will never again emit a tuple with event time below
-// wm. With GroupSourceAware on the spout→partial edge and
-// WindowSpec.Sources set, the aggregation's watermark becomes the exact
-// minimum across sources — no Lateness sizing for skewed clocks.
-func SourceMark(source int, wm int64) Tuple { return window.SourceMark(source, wm) }
+// ListenNetHandler starts a TCP worker dispatching to h, e.g. a
+// WindowFinalHost or a WindowPartialHost.
+func ListenNetHandler(addr string, h NetHandler) (*NetWorker, error) {
+	return transport.ListenHandler(addr, h)
+}
 
-// GroupSourceAware wraps a spout→partial grouping so SourceMark tuples
-// broadcast to every partial instance while data routes through g
-// unchanged.
-func GroupSourceAware(g GroupingFactory) GroupingFactory { return window.SourceAware(g) }
+// NetDrainResults polls a windowed final node until every source has
+// finished, then pages out its closed (key, window) results.
+func NetDrainResults(addr string, timeout time.Duration) ([]NetWindowResult, error) {
+	return transport.DrainResults(addr, timeout)
+}
+
+// NetSubscribeResults subscribes to a windowed final node and collects
+// the results it pushes as windows close, until the node reports done.
+func NetSubscribeResults(addr string, timeout time.Duration) ([]NetWindowResult, error) {
+	return transport.SubscribeResults(addr, timeout)
+}

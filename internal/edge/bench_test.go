@@ -14,7 +14,7 @@ import (
 // bufio, kernel, decode, handler) AND the credit accounting, so the
 // number is the honest ceiling for the spout→remote-partial hop — the
 // companion to BenchmarkEmitPath's in-process edge (recorded together
-// in BENCH_pr6.json). The batched variant ships KindTupleBatch frames
+// in README "Benchmarks", record 6). The batched variant ships KindTupleBatch frames
 // (one header, one credit debit, one coalesced ack per batch); the
 // unbatched variant pins the pre-batch per-tuple frame cost.
 func BenchmarkWireEdgeThroughput(b *testing.B) {

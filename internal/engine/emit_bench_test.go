@@ -6,7 +6,7 @@ package engine
 // tuple-at-a-time engine the seed shipped — one channel send and one
 // clock read per tuple; BatchSize 64 is the default batched path. The
 // ≥2× separation between the two is the acceptance bar for the batched
-// runtime (results recorded in BENCH_pr1.json).
+// runtime (results recorded in README "Benchmarks", record 1).
 
 import (
 	"fmt"

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"fmt"
 	"sort"
 
 	"pkgstream/internal/metrics"
@@ -177,8 +176,3 @@ var (
 	_ Router = (*OnGreedy)(nil)
 	_ Router = (*OffGreedy)(nil)
 )
-
-// String formatting helper shared by reports: technique plus parameters.
-func Describe(p Router) string {
-	return fmt.Sprintf("%s/W=%d", p.Name(), p.Workers())
-}

@@ -111,9 +111,3 @@ func TestConstructorPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	if got := Describe(NewKeyGrouping(8, 1)); got != "KG/W=8" {
-		t.Errorf("Describe = %q", got)
-	}
-}

@@ -32,7 +32,7 @@ func sendSkewed(t *testing.T, src *Source, n int, p float64, tail uint64, seed u
 func TestDChoicesSpreadsHotKeyOverTCP(t *testing.T) {
 	const n, w = 30_000, 12
 	workers, addrs := startWorkers(t, w)
-	src, err := DialSourceD(addrs, ModeDChoices, 42, 0, 0)
+	src, err := DialSourceOpts(addrs, SourceOptions{Mode: ModeDChoices, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDChoicesSpreadsHotKeyOverTCP(t *testing.T) {
 func TestWChoicesHeadUsesAllWorkersOverTCP(t *testing.T) {
 	const n, w = 20_000, 8
 	workers, addrs := startWorkers(t, w)
-	src, err := DialSourceD(addrs, ModeWChoices, 7, 0, 0)
+	src, err := DialSourceOpts(addrs, SourceOptions{Mode: ModeWChoices, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

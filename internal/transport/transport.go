@@ -561,30 +561,8 @@ type Source struct {
 	scratch    []byte
 }
 
-// DialSource connects to the given worker addresses with the paper's two
-// hash choices. The seed must match across sources so their candidate
-// hash functions agree (the only thing sources share — and it is baked
-// into the binary, not communicated). start decorrelates shuffle
-// round-robins of parallel sources.
-func DialSource(addrs []string, mode Mode, seed uint64, start int) (*Source, error) {
-	return DialSourceOpts(addrs, SourceOptions{Mode: mode, Seed: seed, Start: start, D: 2})
-}
-
-// DialSourceD is DialSource generalized to d hash choices for PKG
-// ("Greedy-d") and to the hot-key width for D-Choices (d ≤ 2 selects
-// the adaptive policy there; d is ignored by the other modes). Point
-// queries probe a key's candidate workers, so larger d trades query
-// fan-out for balance.
-func DialSourceD(addrs []string, mode Mode, seed uint64, start, d int) (*Source, error) {
-	if mode == ModePKG && d <= 0 {
-		// Explicitly requesting zero choices is an error here; only the
-		// options struct's zero value means "default" (DialSourceOpts).
-		return nil, fmt.Errorf("transport: PKG needs at least one choice, got d=%d", d)
-	}
-	return DialSourceOpts(addrs, SourceOptions{Mode: mode, Seed: seed, Start: start, D: d})
-}
-
-// DialSourceOpts is the fully parameterized dial.
+// DialSourceOpts connects a source to the given worker addresses, one
+// TCP connection each, routing by o.Mode.
 func DialSourceOpts(addrs []string, o SourceOptions) (*Source, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("transport: no worker addresses")

@@ -50,7 +50,7 @@ func waitTotal(t *testing.T, ws []*Worker, want int64) {
 
 func TestEndToEndCountsOverTCP(t *testing.T) {
 	workers, addrs := startWorkers(t, 5)
-	src, err := DialSource(addrs, ModePKG, 42, 0)
+	src, err := DialSourceOpts(addrs, SourceOptions{Mode: ModePKG, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPKGBalancesOverTCPWhereKGDoesNot(t *testing.T) {
 	}
 	run := func(mode Mode) float64 {
 		workers, addrs := startWorkers(t, 5)
-		src, err := DialSource(addrs, mode, 7, 0)
+		src, err := DialSourceOpts(addrs, SourceOptions{Mode: mode, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestMultipleIndependentSources(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			src, err := DialSource(addrs, ModePKG, 99, id)
+			src, err := DialSourceOpts(addrs, SourceOptions{Mode: ModePKG, Seed: 99, Start: id})
 			if err != nil {
 				t.Error(err)
 				return
@@ -178,7 +178,7 @@ func TestMultipleIndependentSources(t *testing.T) {
 
 func TestShuffleModeRoundRobin(t *testing.T) {
 	workers, addrs := startWorkers(t, 3)
-	src, err := DialSource(addrs, ModeSG, 1, 0)
+	src, err := DialSourceOpts(addrs, SourceOptions{Mode: ModeSG, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +217,14 @@ func TestQueryUnknownKeyZero(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	if _, err := DialSource(nil, ModePKG, 1, 0); err == nil {
+	if _, err := DialSourceOpts(nil, SourceOptions{Mode: ModePKG, Seed: 1}); err == nil {
 		t.Fatal("empty addrs accepted")
 	}
-	if _, err := DialSource([]string{"127.0.0.1:1"}, ModePKG, 1, 0); err == nil {
+	if _, err := DialSourceOpts([]string{"127.0.0.1:1"}, SourceOptions{Mode: ModePKG, Seed: 1}); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 	_, addrs := startWorkers(t, 1)
-	if _, err := DialSource(addrs, Mode(99), 1, 0); err == nil {
+	if _, err := DialSourceOpts(addrs, SourceOptions{Mode: Mode(99), Seed: 1}); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }
@@ -240,14 +240,14 @@ func TestWorkerCloseIdempotentAndUnblocksDial(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DialSource([]string{w.Addr()}, ModePKG, 1, 0); err == nil {
+	if _, err := DialSourceOpts([]string{w.Addr()}, SourceOptions{Mode: ModePKG, Seed: 1}); err == nil {
 		t.Fatal("dial to closed worker succeeded")
 	}
 }
 
 func TestProtocolViolationDropsConnection(t *testing.T) {
 	workers, addrs := startWorkers(t, 1)
-	src, err := DialSource(addrs, ModeKG, 1, 0)
+	src, err := DialSourceOpts(addrs, SourceOptions{Mode: ModeKG, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func BenchmarkSendOverLoopback(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer w.Close()
-	src, err := DialSource([]string{w.Addr()}, ModePKG, 1, 0)
+	src, err := DialSourceOpts([]string{w.Addr()}, SourceOptions{Mode: ModePKG, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestDistributedPointQueryProbesExactlyTheCandidates(t *testing.T) {
 		n        = 20_000
 	)
 	workers, addrs := startWorkers(t, nWorkers)
-	src, err := DialSourceD(addrs, ModePKG, seed, 0, d)
+	src, err := DialSourceOpts(addrs, SourceOptions{Mode: ModePKG, Seed: seed, D: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,13 +465,14 @@ func TestDistributedPointQueryProbesExactlyTheCandidates(t *testing.T) {
 
 func TestDialSourceDValidatesChoices(t *testing.T) {
 	_, addrs := startWorkers(t, 3)
-	// d <= 0 is an error, not a panic, and must not leak connections.
-	if _, err := DialSourceD(addrs, ModePKG, 1, 0, 0); err == nil {
-		t.Fatal("DialSourceD with d=0 did not error")
+	// A negative D is an error, not a panic, and must not leak
+	// connections (D = 0 selects the paper's two choices).
+	if _, err := DialSourceOpts(addrs, SourceOptions{Mode: ModePKG, Seed: 1, D: -1}); err == nil {
+		t.Fatal("DialSourceOpts with D=-1 did not error")
 	}
 	// d > W clamps to W so candidate sets stay duplicate-free and point
 	// queries never sum one worker's partial count twice.
-	src, err := DialSourceD(addrs, ModePKG, 1, 0, 10)
+	src, err := DialSourceOpts(addrs, SourceOptions{Mode: ModePKG, Seed: 1, D: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

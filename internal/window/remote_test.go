@@ -268,7 +268,7 @@ func TestFinalHandlerAnswersPointQueries(t *testing.T) {
 	}
 	defer w.Close()
 
-	src, err := transport.DialSource([]string{w.Addr()}, transport.ModeKG, 1, 0)
+	src, err := transport.DialSourceOpts([]string{w.Addr()}, transport.SourceOptions{Mode: transport.ModeKG, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

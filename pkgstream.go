@@ -1,26 +1,18 @@
-// Package pkgstream is a from-scratch Go reproduction of
+// Package pkgstream is a from-scratch Go reproduction of "The Power of
+// Both Choices: Practical Load Balancing for Distributed Stream
+// Processing Engines" (Nasir, De Francisci Morales, García-Soriano,
+// Kourtellis, Serafini; ICDE 2015, arXiv:1504.00788).
 //
-//	"The Power of Both Choices: Practical Load Balancing for
-//	 Distributed Stream Processing Engines"
-//	 Nasir, De Francisci Morales, García-Soriano, Kourtellis, Serafini
-//	 (ICDE 2015, arXiv:1504.00788)
-//
-// It provides PARTIAL KEY GROUPING (PKG) — power of two choices with key
-// splitting and local load estimation — together with everything needed
-// to use and evaluate it:
-//
-//   - stream partitioners: PKG (Greedy-d), key grouping, shuffle
-//     grouping, static PoTC, On-Greedy and Off-Greedy baselines, plus
-//     the frequency-aware D-Choices and W-Choices of the authors'
-//     follow-up ("When Two Choices Are not Enough", ICDE 2016);
-//   - a miniature Storm-like stream processing engine with pluggable
-//     groupings (PKG is a drop-in GroupingFactory);
-//   - synthetic datasets matched to the paper's Table I statistics;
-//   - the simulation and cluster harnesses that regenerate every table
-//     and figure of the paper's evaluation (see cmd/pkgbench);
-//   - the paper's §VI applications: streaming top-k word count,
-//     SpaceSaving heavy hitters, naive Bayes, and the streaming parallel
-//     decision tree (internal packages, surfaced through examples/).
+// Its subject is PARTIAL KEY GROUPING (PKG): the power of two choices
+// with key splitting and local load estimation. This package is the
+// surface the commands and examples use: the PKG and key-grouping
+// partitioners; a Storm-like engine whose GroupPartial grouping is PKG,
+// with windowed two-phase aggregation and remote stages over TCP; the
+// Table I datasets and the §V simulation; and the paper's applications
+// (word count, heavy hitters, naive Bayes, the streaming decision tree,
+// in-degree). The PoTC, On-Greedy and Off-Greedy baselines, D-Choices
+// and W-Choices, the cluster simulation and the experiments live in
+// internal/; cmd/pkgbench prints the paper's tables and figures.
 //
 // Quick start — balance a skewed stream over 10 workers:
 //
@@ -34,100 +26,20 @@
 package pkgstream
 
 import (
-	"pkgstream/internal/hotkey"
 	"pkgstream/internal/metrics"
 	"pkgstream/internal/route"
 )
 
-// Router routes messages, identified by 64-bit keys, to workers. It is
-// the decision interface of the shared routing core (internal/route),
-// used identically by the engine, the simulators, and the TCP transport.
-type Router = route.Router
-
-// Partitioner is the historical name of Router.
-type Partitioner = route.Router
-
-// Strategy identifies a routing strategy of the shared core; the same
-// values select techniques in Simulate, Cluster and net sources.
-type Strategy = route.Strategy
-
-// The routing strategies studied in the paper.
-const (
-	// StrategyKG is key grouping: single-choice hashing ("H").
-	StrategyKG = route.StrategyKG
-	// StrategySG is shuffle grouping: round-robin routing.
-	StrategySG = route.StrategySG
-	// StrategyPKG is partial key grouping (Greedy-d with key splitting).
-	StrategyPKG = route.StrategyPKG
-	// StrategyPoTC is the power of two choices without key splitting.
-	StrategyPoTC = route.StrategyPoTC
-	// StrategyOnGreedy sends each new key to the least-loaded worker.
-	StrategyOnGreedy = route.StrategyOnGreedy
-	// StrategyOffGreedy is the clairvoyant LPT baseline.
-	StrategyOffGreedy = route.StrategyOffGreedy
-	// StrategyDChoices is frequency-aware PKG from the authors' ICDE
-	// 2016 follow-up: a per-source Space-Saving sketch classifies keys
-	// and hot keys widen to d > 2 candidates (head keys to all W) while
-	// the cold tail keeps 2.
-	StrategyDChoices = route.StrategyDChoices
-	// StrategyWChoices spreads every key above the hot threshold
-	// round-robin over all W workers (the follow-up's aggressive
-	// variant).
-	StrategyWChoices = route.StrategyWChoices
+type (
+	// PKG is partial key grouping: the power of d choices (default 2)
+	// with key splitting, deciding by a load view. See route.PKG.
+	PKG = route.PKG
+	// KeyGrouping is single-choice hash partitioning (the KG baseline).
+	KeyGrouping = route.KeyGrouping
+	// Load is a per-worker load vector: the true loads of a stream edge,
+	// or a source's local estimate of them.
+	Load = metrics.Load
 )
-
-// RouterConfig describes a router for NewRouter.
-type RouterConfig = route.Config
-
-// NewRouter constructs any strategy of the shared routing core from a
-// single config — the programmatic twin of the per-strategy
-// constructors below.
-func NewRouter(cfg RouterConfig) (Router, error) { return route.New(cfg) }
-
-// PKG is partial key grouping: the power of d choices (default 2) with
-// key splitting, deciding by a load view. See route.PKG.
-type PKG = route.PKG
-
-// KeyGrouping is single-choice hash partitioning (the KG baseline).
-type KeyGrouping = route.KeyGrouping
-
-// ShuffleGrouping is round-robin partitioning (the SG baseline).
-type ShuffleGrouping = route.ShuffleGrouping
-
-// PoTC is the power of two choices without key splitting: per-key routing
-// table, no migration.
-type PoTC = route.PoTC
-
-// OnGreedy assigns each new key to the globally least-loaded worker.
-type OnGreedy = route.OnGreedy
-
-// OffGreedy is the clairvoyant LPT baseline built from exact frequencies.
-type OffGreedy = route.OffGreedy
-
-// KeyFreq is a key with its total stream frequency (OffGreedy input).
-type KeyFreq = route.KeyFreq
-
-// DChoices is frequency-aware PKG (D-Choices, ICDE 2016 follow-up):
-// hot keys get the d > 2 candidates their frequency warrants, the cold
-// tail keeps 2. See route.DChoices.
-type DChoices = route.DChoices
-
-// WChoices spreads keys above the hot threshold over all W workers
-// round-robin (W-Choices). See route.WChoices.
-type WChoices = route.WChoices
-
-// HotkeyConfig holds the hot-key classification knobs shared by
-// DChoices and WChoices: the D-Choices width D (0 = per-key adaptive),
-// the skew target Epsilon, and the sketch/refresh parameters.
-type HotkeyConfig = hotkey.Config
-
-// HotkeyStats snapshots a classifier: tracked/hot/head key populations
-// and per-class routed message counts.
-type HotkeyStats = hotkey.Stats
-
-// Load is a per-worker load vector: the true loads of a stream edge, or a
-// source's local estimate of them.
-type Load = metrics.Load
 
 // NewLoad returns a zeroed load vector over n workers.
 func NewLoad(n int) *Load { return metrics.NewLoad(n) }
@@ -144,45 +56,3 @@ func NewPKG(workers, choices int, seed uint64, view *Load) *PKG {
 func NewKeyGrouping(workers int, seed uint64) *KeyGrouping {
 	return route.NewKeyGrouping(workers, seed)
 }
-
-// NewShuffleGrouping returns round-robin partitioning starting at offset
-// `start` (vary per source).
-func NewShuffleGrouping(workers, start int) *ShuffleGrouping {
-	return route.NewShuffleGrouping(workers, start)
-}
-
-// NewPoTC returns static power-of-two-choices partitioning deciding by
-// view (typically the true loads; PoTC requires global knowledge).
-func NewPoTC(workers int, seed uint64, view *Load) *PoTC {
-	return route.NewPoTC(workers, seed, view)
-}
-
-// NewOnGreedy returns the online greedy baseline.
-func NewOnGreedy(workers int, view *Load) *OnGreedy {
-	return route.NewOnGreedy(workers, view)
-}
-
-// NewOffGreedy returns the offline greedy (LPT) baseline for a known
-// frequency distribution.
-func NewOffGreedy(workers int, seed uint64, freqs []KeyFreq) *OffGreedy {
-	return route.NewOffGreedy(workers, seed, freqs)
-}
-
-// NewDChoices returns a D-Choices partitioner over `workers` workers
-// deciding by `view`, with a fresh per-source hot-key classifier
-// configured by hot (zero value: adaptive defaults). Like PKG, give
-// every source its own view — and its own DChoices instance, since the
-// sketch is per-source state.
-func NewDChoices(workers int, seed uint64, view *Load, hot HotkeyConfig) *DChoices {
-	return route.NewDChoices(workers, seed, view, hot)
-}
-
-// NewWChoices returns a W-Choices partitioner over `workers` workers;
-// start offsets the head-key round-robin (vary per source).
-func NewWChoices(workers int, seed uint64, view *Load, hot HotkeyConfig, start int) *WChoices {
-	return route.NewWChoices(workers, seed, view, hot, start)
-}
-
-// Jaccard returns the routing agreement between two destination traces:
-// matches / (2m − matches).
-func Jaccard(a, b []int32) float64 { return metrics.Jaccard(a, b) }

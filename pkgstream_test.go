@@ -139,26 +139,10 @@ func TestFacadeHeavyHitters(t *testing.T) {
 	}
 }
 
-func TestFacadeCluster(t *testing.T) {
-	p := pkgstream.ClusterDefaults(pkgstream.ClusterPKG)
-	p.Spec = pkgstream.Wikipedia.WithCap(100_000)
-	p.Duration, p.Warmup = 5, 1
-	r, err := pkgstream.RunCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Throughput <= 0 {
-		t.Fatalf("throughput %v", r.Throughput)
-	}
-}
-
-func TestFacadeMeasureAndJaccard(t *testing.T) {
+func TestFacadeMeasureAndDatasets(t *testing.T) {
 	st := pkgstream.MeasureStream(pkgstream.Cashtags.WithCap(40_000).Open(1), 0)
 	if st.Messages != 40_000 || st.P1 <= 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if j := pkgstream.Jaccard([]int32{1, 2}, []int32{1, 3}); j <= 0 || j >= 1 {
-		t.Fatalf("Jaccard = %v", j)
 	}
 	if _, err := pkgstream.DatasetBySymbol("WP"); err != nil {
 		t.Fatal(err)
