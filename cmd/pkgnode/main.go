@@ -15,7 +15,9 @@
 //	                closes windows once the minimum watermark across all
 //	                upstream sources passes their end, and serves the
 //	                closed (key, window) results to OpResults queries
-//	                and Subscribe push sessions.
+//	                and Subscribe push sessions. Results every push
+//	                subscriber has been sent are released; the shutdown
+//	                line counts them, and only the rest are printed.
 //
 // A three-process windowed wordcount (the `pipeline` experiment's fully
 // distributed shape — start finals first, partials dial them):
@@ -244,12 +246,16 @@ func main() {
 		}
 	case final != nil:
 		st := final.Stats()
+		// released counts the results already sent to every push
+		// subscriber and dropped from the log; only the rest can print.
+		released, kept := final.Retained()
 		logger.Info("shutdown",
 			"done", final.Done(), "merged", st.Merged,
 			"windows", st.WindowsClosed, "late", st.LateDropped,
-			"bad", final.BadFrames())
+			"released", released, "bad", final.BadFrames())
 		if !*quiet {
-			for _, r := range final.Results() {
+			fmt.Printf("results from log offset %d on (earlier ones were released to subscribers):\n", released)
+			for _, r := range kept {
 				fmt.Printf("  %s [%d, %d) = %d\n", r.Key, r.Start, r.End, r.Value)
 			}
 		}

@@ -154,13 +154,16 @@ func ListenNetHandler(addr string, h NetHandler) (*NetWorker, error) {
 }
 
 // NetDrainResults polls a windowed final node until every source has
-// finished, then pages out its closed (key, window) results.
+// finished, then pages out its closed (key, window) results. It fails
+// on a node that has released results to its push subscribers.
 func NetDrainResults(addr string, timeout time.Duration) ([]NetWindowResult, error) {
 	return transport.DrainResults(addr, timeout)
 }
 
 // NetSubscribeResults subscribes to a windowed final node and collects
 // the results it pushes as windows close, until the node reports done.
+// The node releases what every subscriber has been sent, so a second
+// subscription to the same node fails rather than miss those results.
 func NetSubscribeResults(addr string, timeout time.Duration) ([]NetWindowResult, error) {
 	return transport.SubscribeResults(addr, timeout)
 }

@@ -158,4 +158,9 @@ func main() {
 		parts.Flushes, parts.PartialsOut, final.Merged)
 	fmt.Printf("memory: max %d live (word, window) counters on one worker; %d windows closed, %d late partials dropped\n",
 		parts.MaxLive, final.WindowsClosed, final.LateDropped)
+	// Source-aware watermarks make the skewed clocks safe without any
+	// Lateness, so a dropped partial is a lost count.
+	if final.LateDropped != 0 {
+		panic(fmt.Sprintf("%d late partials dropped: their counts are missing from the windows above", final.LateDropped))
+	}
 }

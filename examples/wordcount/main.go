@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"pkgstream"
 )
@@ -41,8 +42,10 @@ func main() {
 	fmt.Println("streaming top-k word count: 300k words, 9 counters, WP-like skew")
 	fmt.Printf("%-4s  %12s  %14s  %14s\n", "", "imbalance", "partials/word", "max counters")
 
-	var pkgOut *pkgstream.WordCountOutput
-	for _, cfg := range []pkgstream.WordCountConfig{
+	// Every grouping counts the same words, so any difference between
+	// their top-k lists means the runtime lost or duplicated tuples.
+	var top []pkgstream.WordCount
+	for i, cfg := range []pkgstream.WordCountConfig{
 		{Grouping: pkgstream.WordCountKG},
 		{Grouping: pkgstream.WordCountSG},
 		{Grouping: pkgstream.WordCountPKG},
@@ -55,13 +58,15 @@ func main() {
 			string(grouping), imb,
 			float64(out.PartialsMerged)/float64(out.TotalWords),
 			out.MaxCounterResidency)
-		if grouping == pkgstream.WordCountPKG {
-			pkgOut = out
+		if i == 0 {
+			top = out.Top
+		} else if !slices.Equal(out.Top, top) {
+			panic(fmt.Sprintf("top words under %s %v differ from %v", grouping, out.Top, top))
 		}
 	}
 
 	fmt.Println("\ntop words (identical under every grouping):")
-	for i, wc := range pkgOut.Top {
+	for i, wc := range top {
 		fmt.Printf("%2d. %-8s %6d\n", i+1, wc.Word, wc.Count)
 	}
 }

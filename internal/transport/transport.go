@@ -890,9 +890,29 @@ func wireToSummary(ws wire.Sketch) sketch.Summary {
 	return sum
 }
 
+// ReleasedError reports a read that starts below a final node's
+// retention floor: the node has released the results before Floor,
+// each sent to every push subscriber it had, so a read from Offset
+// would silently miss them. Addr is empty for an in-process read.
+type ReleasedError struct {
+	Addr          string
+	Floor, Offset int64
+}
+
+func (e *ReleasedError) Error() string {
+	node := "final node"
+	if e.Addr != "" {
+		node += " " + e.Addr
+	}
+	return fmt.Sprintf("transport: %s released its results below log offset %d to its subscribers; a read from offset %d would miss them",
+		node, e.Floor, e.Offset)
+}
+
 // Query answers a distributed point query for key against the given
 // worker addresses using a fresh connection per probe: it sums the
-// partial counts of the key's candidate workers only.
+// partial counts of the key's candidate workers only. A final node that
+// has released results cannot count over them, and fails the query
+// with a *ReleasedError rather than answer with a partial sum.
 func Query(addrs []string, key uint64, candidates []int) (int64, error) {
 	var total int64
 	for _, w := range candidates {
@@ -903,6 +923,9 @@ func Query(addrs []string, key uint64, candidates []int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
+		if rep.Floor > 0 {
+			return 0, &ReleasedError{Addr: addrs[w], Floor: rep.Floor}
+		}
 		total += rep.Count
 	}
 	return total, nil
@@ -910,9 +933,11 @@ func Query(addrs []string, key uint64, candidates []int) (int64, error) {
 
 // DrainResults polls a windowed final node until every upstream source
 // has sent its final mark (Reply.Done), then pages through its closed
-// (key, window) results — the client half of window.FinalHandler's
-// OpResults protocol (Query.Key carries the page offset; results are
-// append-only, so offsets are stable).
+// (key, window) results from offset 0 — the client half of
+// window.FinalHandler's OpResults protocol (Query.Key carries the page
+// offset). It needs the node's whole log: on a node that has released
+// results to push subscribers it fails with a *ReleasedError naming
+// the floor.
 func DrainResults(addr string, timeout time.Duration) ([]wire.WindowResult, error) {
 	// Wait on the cheap fixed-size status probe; shipping result pages
 	// only starts once the node is done.
@@ -939,6 +964,9 @@ func DrainResults(addr string, timeout time.Duration) ([]wire.WindowResult, erro
 		if err != nil {
 			return nil, err
 		}
+		if next.Floor > int64(len(out)) {
+			return nil, &ReleasedError{Addr: addr, Floor: next.Floor, Offset: int64(len(out))}
+		}
 		if len(next.Results) == 0 {
 			return nil, fmt.Errorf("transport: drain %s stalled at %d/%d results",
 				addr, len(out), rep.Count)
@@ -953,7 +981,10 @@ func DrainResults(addr string, timeout time.Duration) ([]wire.WindowResult, erro
 // node reports Done — the drain-free replacement for DrainResults:
 // instead of polling OpStats, the node writes a Reply frame on this
 // connection the moment windows close, so results arrive with no poll
-// interval in the latency path.
+// interval in the latency path. The session starts at offset 0, so on a
+// node that has already released results to other subscribers it is
+// refused: the node answers with one frame naming its floor, and this
+// returns a *ReleasedError.
 func SubscribeResults(addr string, timeout time.Duration) ([]wire.WindowResult, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -983,6 +1014,9 @@ func SubscribeResults(addr string, timeout time.Duration) ([]wire.WindowResult, 
 		rep, err := wire.DecodeReply(p)
 		if err != nil {
 			return nil, err
+		}
+		if rep.Floor > int64(len(out)) {
+			return nil, &ReleasedError{Addr: addr, Floor: rep.Floor, Offset: int64(len(out))}
 		}
 		out = append(out, rep.Results...)
 		// The node sets Done on the last frame of a fully caught-up

@@ -100,7 +100,7 @@ func runRemotePartial(t *testing.T, partialNodes, finalNodes int) map[string]int
 		if h.BadFrames() != 0 {
 			t.Fatalf("final node %d: %d bad frames", i, h.BadFrames())
 		}
-		for _, res := range h.Results() {
+		for _, res := range mustResults(t, h) {
 			got[fmt.Sprintf("%s@%d", res.Key, res.Start)] += res.Value
 		}
 	}
@@ -229,7 +229,7 @@ func TestRemotePartialBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum int64
-	for _, res := range fh.Results() {
+	for _, res := range mustResults(t, fh) {
 		sum += res.Value
 	}
 	if sum != total {
@@ -386,9 +386,12 @@ func TestRemoteFinalFailsCleanlyWhenNodeDies(t *testing.T) {
 	}
 }
 
-// TestSubscribePushMatchesDrain: a push subscription delivers exactly
-// the results the paged drain does — subscribed BEFORE the stream
-// finishes (live pushes as windows close) and after (pure backlog).
+// TestSubscribePushMatchesDrain: a push subscription opened before the
+// stream finishes delivers exactly the in-process run's counts as
+// windows close. The node then releases every result it pushed, so the
+// post-run drain, a late subscription and an OpCount query on that
+// node fail with an error naming the floor instead of answering from a
+// partial log.
 func TestSubscribePushMatchesDrain(t *testing.T) {
 	plan := MustPlan(Count{}, remoteSpec())
 	h, err := plan.NewFinalHandler(rtPartials)
@@ -401,7 +404,6 @@ func TestSubscribePushMatchesDrain(t *testing.T) {
 	}
 	defer w.Close()
 
-	// Subscribe before any data exists: this session sees live pushes.
 	type subResult struct {
 		res []wire.WindowResult
 		err error
@@ -426,31 +428,37 @@ func TestSubscribePushMatchesDrain(t *testing.T) {
 	if err := engine.NewRuntime(top, engine.Options{}).Run(); err != nil {
 		t.Fatal(err)
 	}
-
-	drained, err := transport.DrainResults(w.Addr(), 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lr := <-live
 	if lr.err != nil {
 		t.Fatal(lr.err)
 	}
-	// A late subscription sees the same thing as pure backlog.
-	after, err := transport.SubscribeResults(w.Addr(), 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	local := runInProcess(t)
+	got := map[string]int64{}
+	for _, r := range lr.res {
+		got[fmt.Sprintf("%s@%d", r.Key, r.Start)] += r.Value
 	}
-	sum := func(rs []wire.WindowResult) map[string]int64 {
-		m := map[string]int64{}
-		for _, r := range rs {
-			m[fmt.Sprintf("%s@%d", r.Key, r.Start)] += r.Value
+	diffCounts(t, "live subscription vs in-process", got, local)
+	if len(lr.res) != len(local) {
+		t.Fatalf("live subscription: %d results for %d (word, window) pairs", len(lr.res), len(local))
+	}
+
+	floor := int64(len(lr.res))
+	if f, kept := h.Retained(); f != int(floor) || len(kept) != 0 {
+		t.Fatalf("after the run: floor %d with %d results kept, want floor %d and none kept", f, len(kept), floor)
+	}
+	wantReleased := func(label string, err error) {
+		t.Helper()
+		var re *transport.ReleasedError
+		if !errors.As(err, &re) || re.Floor != floor || re.Offset != 0 {
+			t.Fatalf("%s: err %v, want a *transport.ReleasedError at floor %d from offset 0", label, err, floor)
 		}
-		return m
 	}
-	want := sum(drained)
-	diffCounts(t, "live subscription", sum(lr.res), want)
-	diffCounts(t, "late subscription", sum(after), want)
-	if len(lr.res) != len(drained) || len(after) != len(drained) {
-		t.Fatalf("result counts: live %d, late %d, drained %d", len(lr.res), len(after), len(drained))
-	}
+	_, err = transport.DrainResults(w.Addr(), 10*time.Second)
+	wantReleased("post-run drain", err)
+	_, err = transport.SubscribeResults(w.Addr(), 10*time.Second)
+	wantReleased("late subscription", err)
+	_, err = transport.Query([]string{w.Addr()}, lr.res[0].KeyHash, []int{0})
+	wantReleased("OpCount", err)
+	_, err = h.Results()
+	wantReleased("Results", err)
 }

@@ -30,8 +30,8 @@ import (
 //   - FinalHandler, the transport.Handler that hosts an ordinary
 //     FinalBolt on the remote side: partials merge, windows close once
 //     the minimum watermark across all live sources passes their end,
-//     and closed results are kept, encoded, for push subscribers and
-//     OpResults point queries.
+//     and closed results are kept, encoded, until every push subscriber
+//     has been sent them; OpResults point queries page what is kept.
 
 // StateCodec is the optional Aggregator extension a remote final needs
 // on the general (non-Combiner) path: partial accumulators must have a
@@ -322,9 +322,17 @@ func (b *remoteFinal) EdgeStats() engine.EdgeStats { return b.snd.EdgeStats() }
 // window's key strings are freed with its maps — and seals them as one
 // page of at most resultsPage results. A push writes a frame header plus
 // a page's bytes as they are; Results, OpResults and OpCount decode
-// pages when called. The log keeps the full history, with no size
-// limit: late subscribers and drains start from any offset, and
-// trimming it would take that away.
+// pages when called.
+//
+// Subscriptions decide retention. Once every attached push subscriber
+// has been sent a page, the page is released, so a subscribed node's
+// memory stays bounded by the results one mark closes, however long the
+// stream runs. The log offset of the first retained result is the
+// retention floor. A read below it fails and names the floor — a
+// Subscribe or OpResults page below it, and OpCount or Results once
+// anything is released — rather than return a partial answer. While no
+// subscriber is attached nothing is released, so a node that is only
+// drained keeps its whole history.
 //
 // The transport worker serializes handler calls, and the handler's own
 // mutex covers the accessors, so a FinalHandler is safe to inspect
@@ -337,8 +345,9 @@ type FinalHandler struct {
 	rc      ResultCodec
 	sources int
 	finals  map[uint32]bool
-	pages   []resultPage // the result log
-	total   int          // results in pages
+	pages   []resultPage // the retained result log, from offset floor on
+	floor   int          // log offset of the first retained result
+	total   int          // results ever sealed into pages
 	open    []byte       // encoded results of the mark being handled
 	openN   int          // results in open
 	frame   []byte       // push scratch: header plus page
@@ -356,13 +365,10 @@ type resultPage struct {
 }
 
 // finalSub is one push subscription: a sink bound to the subscriber's
-// connection, the next page it is owed and how many results at the
-// head of that page it already has (nonzero only after subscribing at
-// a mid-page offset).
+// connection and the log offset of the next result it is owed.
 type finalSub struct {
 	sink     transport.ResultSink
-	page     int
-	skip     int
+	next     int
 	toldDone bool
 }
 
@@ -483,22 +489,29 @@ func (h *FinalHandler) HandleMark(m wire.Mark) {
 // starts receiving server-initiated Reply frames — the backlog from the
 // requested offset immediately, every subsequently closed window as its
 // watermark passes, and a final Done frame — removing the DrainResults
-// poll from the latency path.
+// poll from the latency path. An offset past the log's end starts at
+// the next result to close. An offset below the retention floor
+// (negative ones included) is refused: the sink gets one frame carrying
+// the floor and Done, and is not registered.
 func (h *FinalHandler) HandleSubscribe(s wire.Subscribe, sink transport.ResultSink) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	sub := &finalSub{sink: sink, page: len(h.pages)}
-	if off := int(s.Offset); off >= 0 && off < h.total {
-		sub.page = h.pageOf(off)
-		sub.skip = off - h.pages[sub.page].first
+	if s.Offset < int64(h.floor) {
+		h.frame = wire.AppendReply(h.frame[:0], &wire.Reply{
+			Op: wire.OpResults, Count: int64(h.total), Done: true, Floor: int64(h.floor),
+		})
+		_ = sink.Push(h.frame) // the session ends here whether or not this lands
+		return
 	}
+	sub := &finalSub{sink: sink, next: int(min(s.Offset, int64(h.total)))}
 	if h.pushTo(sub) {
 		h.subs = append(h.subs, sub)
+		h.release()
 	}
 }
 
 // pageOf returns the index of the page holding log offset off
-// (0 ≤ off < h.total).
+// (h.floor ≤ off < h.total).
 func (h *FinalHandler) pageOf(off int) int {
 	return sort.Search(len(h.pages), func(i int) bool {
 		return h.pages[i].first+h.pages[i].n > off
@@ -521,31 +534,57 @@ func (h *FinalHandler) pushAll() {
 		h.subs[i] = nil
 	}
 	h.subs = alive
+	h.release()
 }
 
 // pushTo writes the subscriber's outstanding pages, one frame each,
 // and, once the node is done, exactly one Done frame. It reports
 // whether the sink is still alive.
 func (h *FinalHandler) pushTo(sub *finalSub) bool {
-	for sub.page < len(h.pages) || (h.done && !sub.toldDone) {
+	for sub.next < h.total || (h.done && !sub.toldDone) {
 		var body []byte
-		var n int
-		if sub.page < len(h.pages) {
-			pg := &h.pages[sub.page]
-			body, n = pg.b[pageSkip(pg.b, sub.skip):], pg.n-sub.skip
+		n, next := 0, h.total
+		if sub.next < h.total {
+			pg := &h.pages[h.pageOf(sub.next)]
+			k := sub.next - pg.first
+			body, n, next = pg.b[pageSkip(pg.b, k):], pg.n-k, pg.first+pg.n
 		}
-		done := h.done && sub.page >= len(h.pages)-1
+		done := h.done && next == h.total
 		h.frame = wire.AppendResultsHeader(h.frame[:0], int64(h.total), done, n, len(body))
 		h.frame = append(h.frame, body...)
 		if err := sub.sink.Push(h.frame); err != nil {
 			return false
 		}
-		sub.page, sub.skip = min(sub.page+1, len(h.pages)), 0
+		sub.next = next
 		if done {
 			sub.toldDone = true
 		}
 	}
 	return true
+}
+
+// release drops the sealed pages every attached subscriber has been
+// sent and raises the floor past them. With no subscriber attached it
+// releases nothing. Runs under h.mu.
+func (h *FinalHandler) release() {
+	if len(h.subs) == 0 {
+		return
+	}
+	sent := h.total
+	for _, sub := range h.subs {
+		sent = min(sent, sub.next)
+	}
+	k := 0
+	for k < len(h.pages) && h.pages[k].first+h.pages[k].n <= sent {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	h.floor = h.pages[k-1].first + h.pages[k-1].n
+	n := copy(h.pages, h.pages[k:])
+	clear(h.pages[n:])
+	h.pages = h.pages[:n]
 }
 
 // pageSkip returns the byte offset of result k in page bytes b.
@@ -562,8 +601,9 @@ func pageSkip(b []byte, k int) int {
 	return off
 }
 
-// from yields the logged results from offset off on, decoding pages
-// as it goes; the yielded pointer is only valid until the next one.
+// from yields the logged results from offset off (≥ h.floor) on,
+// decoding pages as it goes; the yielded pointer is only valid until
+// the next one.
 func (h *FinalHandler) from(off int) iter.Seq[*wire.WindowResult] {
 	return func(yield func(*wire.WindowResult) bool) {
 		if off >= h.total {
@@ -587,7 +627,7 @@ func (h *FinalHandler) from(off int) iter.Seq[*wire.WindowResult] {
 	}
 }
 
-// decode returns up to n logged results from offset off on.
+// decode returns up to n logged results from offset off (≥ h.floor) on.
 func (h *FinalHandler) decode(off, n int) []wire.WindowResult {
 	out := make([]wire.WindowResult, 0, max(0, min(n, h.total-off)))
 	for res := range h.from(off) {
@@ -606,9 +646,12 @@ const resultsPage = 32768
 // HandleQuery implements transport.Handler.
 //
 //	OpResults — one page of closed windows starting at offset Query.Key
-//	            (Count carries the total so far; results are append-only,
-//	            so paging by offset is stable), plus Done;
-//	OpCount   — the total over closed windows of the queried key hash;
+//	            (Count carries the total so far; offsets are stable, so
+//	            paging by offset is too), plus Done and, once results
+//	            are released, the retention Floor — a page asked for
+//	            below it carries no results;
+//	OpCount   — the total over closed windows of the queried key hash,
+//	            or, once results are released, no count and the Floor;
 //	OpStats   — the number of closed windows, plus the node's
 //	            window-close staleness histogram;
 //	OpTrace   — the process name plus the retained trace spans, for
@@ -622,8 +665,15 @@ func (h *FinalHandler) HandleQuery(q wire.Query) wire.Reply {
 		if off < 0 || off > h.total {
 			off = h.total
 		}
-		return wire.Reply{Op: q.Op, Done: h.done, Count: int64(h.total), Results: h.decode(off, resultsPage)}
+		rep := wire.Reply{Op: q.Op, Done: h.done, Count: int64(h.total), Floor: int64(h.floor)}
+		if off >= h.floor {
+			rep.Results = h.decode(off, resultsPage)
+		}
+		return rep
 	case wire.OpCount:
+		if h.floor > 0 {
+			return wire.Reply{Op: q.Op, Done: h.done, Floor: int64(h.floor)}
+		}
 		var total int64
 		for res := range h.from(0) {
 			if res.KeyHash == q.Key {
@@ -673,11 +723,25 @@ func (h *FinalHandler) WaitDone(timeout time.Duration) error {
 	return nil
 }
 
-// Results decodes the closed windows so far from the result log.
-func (h *FinalHandler) Results() []wire.WindowResult {
+// Results decodes the closed windows so far from the result log. Once
+// the node has released results to its subscribers it returns a
+// *transport.ReleasedError naming the floor instead; Retained reads
+// what is left.
+func (h *FinalHandler) Results() ([]wire.WindowResult, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.decode(0, h.total)
+	if h.floor > 0 {
+		return nil, &transport.ReleasedError{Floor: int64(h.floor)}
+	}
+	return h.decode(0, h.total), nil
+}
+
+// Retained returns the retention floor — how many results at the head
+// of the log have been released — and the results logged from it on.
+func (h *FinalHandler) Retained() (floor int, res []wire.WindowResult) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.floor, h.decode(h.floor, h.total-h.floor)
 }
 
 // BadFrames counts frames the handler could not apply (raw tuples,

@@ -2,6 +2,7 @@ package window
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -177,11 +178,21 @@ func runRemote(t *testing.T, nodes int) map[string]int64 {
 			t.Fatalf("node %d: %d bad frames, %d unencodable results",
 				i, h.BadFrames(), h.Unencodable())
 		}
-		for _, res := range h.Results() {
+		for _, res := range mustResults(t, h) {
 			got[fmt.Sprintf("%s@%d", res.Key, res.Start)] += res.Value
 		}
 	}
 	return got
+}
+
+// mustResults reads a final node's whole result log.
+func mustResults(t *testing.T, h *FinalHandler) []wire.WindowResult {
+	t.Helper()
+	res, err := h.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func diffCounts(t *testing.T, label string, got, want map[string]int64) {
@@ -304,13 +315,18 @@ func TestFinalHandlerAnswersPointQueries(t *testing.T) {
 	}
 }
 
-// frameSink is a transport.ResultSink that decodes every pushed frame.
+// frameSink is a transport.ResultSink that decodes every pushed frame;
+// once fail is set, Push fails as a dropped subscriber's would.
 type frameSink struct {
 	reps []wire.Reply
 	err  error
+	fail bool
 }
 
 func (s *frameSink) Push(frame []byte) error {
+	if s.fail {
+		return errors.New("subscriber gone")
+	}
 	kind, p, err := wire.ReadFrame(bytes.NewReader(frame), nil)
 	if err == nil && kind != wire.KindReply {
 		err = fmt.Errorf("pushed a %v frame", kind)
@@ -329,18 +345,16 @@ func (s *frameSink) Push(frame []byte) error {
 	return nil
 }
 
-// TestSubscribeOffsetsAcrossPages: subscriptions opened at any offset
-// of a multi-page result log — its start, a page boundary, mid-page,
-// its end and past it; while windows still close and once the node is
-// done — receive exactly Results()[off:] in order with exactly one Done
-// frame, and OpResults paged from the same offsets agrees.
-func TestSubscribeOffsetsAcrossPages(t *testing.T) {
+// offsetLog drives a fresh final node through a multi-page result log,
+// one page per closing mark and the third mark's split at resultsPage:
+// pages [0,5) [5,6) [6,32774) [32774,32779) [32779,32783). mid, when
+// set, runs after the second mark, while windows still close.
+func offsetLog(t *testing.T, mid func(h *FinalHandler)) *FinalHandler {
+	t.Helper()
 	h, err := MustPlan(Count{}, Spec{Size: 10}).NewFinalHandler(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One page per closing mark, the third mark's split at resultsPage:
-	// pages [0,5) [5,6) [6,32774) [32774,32779) [32779,32783).
 	closeWindow := func(start int64, strKeys, intKeys int) {
 		for i := 0; i < strKeys; i++ {
 			key := fmt.Sprintf("w%d-k%05d", start, i)
@@ -351,74 +365,218 @@ func TestSubscribeOffsetsAcrossPages(t *testing.T) {
 		}
 		h.HandleMark(wire.Mark{WM: start + 10})
 	}
-	type session struct {
-		off  int
-		want int // where Results() starts for this session
-		sink *frameSink
-	}
-	var sessions []session
-	open := func(offs ...int) {
-		total := len(h.Results())
-		for _, off := range offs {
-			s := session{off: off, want: min(off, total), sink: &frameSink{}}
-			h.HandleSubscribe(wire.Subscribe{Offset: int64(off)}, s.sink)
-			sessions = append(sessions, s)
-		}
-	}
-
 	closeWindow(0, 3, 2)
 	closeWindow(10, 1, 0)
-	open(0, 3, 5, 6, 9) // live: start, mid-page, boundary, end, past it
+	if mid != nil {
+		mid(h)
+	}
 	closeWindow(20, resultsPage+5, 0)
 	closeWindow(30, 4, 0)
 	h.HandleMark(wire.Mark{WM: math.MaxInt64})
-	all := h.Results()
+	return h
+}
+
+// pushed checks one subscription's frames — none over a page, exactly
+// one Done, on the last frame — and returns the results they carried.
+func pushed(t *testing.T, label string, s *frameSink) []wire.WindowResult {
+	t.Helper()
+	if s.err != nil {
+		t.Fatalf("%s: %v", label, s.err)
+	}
+	var got []wire.WindowResult
+	dones := 0
+	for i, rep := range s.reps {
+		if len(rep.Results) > resultsPage {
+			t.Fatalf("%s: frame of %d results", label, len(rep.Results))
+		}
+		got = append(got, rep.Results...)
+		if rep.Done {
+			dones++
+			if i != len(s.reps)-1 {
+				t.Fatalf("%s: Done on frame %d of %d", label, i+1, len(s.reps))
+			}
+		}
+	}
+	if dones != 1 {
+		t.Fatalf("%s: %d Done frames, want 1", label, dones)
+	}
+	return got
+}
+
+// pageFrom pages OpResults from offset off to the end of the log.
+func pageFrom(t *testing.T, h *FinalHandler, off int) []wire.WindowResult {
+	t.Helper()
+	var got []wire.WindowResult
+	for {
+		rep := h.HandleQuery(wire.Query{Op: wire.OpResults, Key: uint64(off + len(got))})
+		if !rep.Done || rep.Count != int64(h.total) || rep.Floor != int64(h.floor) {
+			t.Fatalf("OpResults from %d: done %v, count %d, floor %d", off, rep.Done, rep.Count, rep.Floor)
+		}
+		if len(rep.Results) == 0 {
+			return got
+		}
+		got = append(got, rep.Results...)
+	}
+}
+
+// TestSubscribeOffsetsAcrossPages: on a node that never had another
+// subscriber, so nothing is released, a subscription opened at any
+// offset of a multi-page result log — its start, a page boundary,
+// mid-page, its end and past it; while windows still close and once the
+// node is done — receives exactly Results()[off:] in order with exactly
+// one Done frame, and OpResults paged from the same offsets agrees.
+// Once a subscriber has been sent pages and released them, a session or
+// page asked for below the floor is refused with the floor named, and
+// one at the floor reads the rest.
+func TestSubscribeOffsetsAcrossPages(t *testing.T) {
+	ref := offsetLog(t, nil)
+	all := mustResults(t, ref)
 	if len(all) != 32783 {
 		t.Fatalf("log holds %d results, want 32783", len(all))
 	}
-	open(0, 3, 5, 6, 106, 32774, 32780, 32783, 40000)
-
-	for _, s := range sessions {
-		var got []wire.WindowResult
-		dones := 0
-		for i, rep := range s.sink.reps {
-			if len(rep.Results) > resultsPage {
-				t.Fatalf("offset %d: frame of %d results", s.off, len(rep.Results))
-			}
-			got = append(got, rep.Results...)
-			if rep.Done {
-				dones++
-				if i != len(s.sink.reps)-1 {
-					t.Fatalf("offset %d: Done on frame %d of %d", s.off, i+1, len(s.sink.reps))
-				}
-			}
+	for _, off := range []int{0, 3, 5, 6, 9} { // live: start, mid-page, boundary, end, past it
+		s := &frameSink{}
+		var want int
+		offsetLog(t, func(h *FinalHandler) {
+			want = min(off, h.total)
+			h.HandleSubscribe(wire.Subscribe{Offset: int64(off)}, s)
+		})
+		if got := pushed(t, fmt.Sprintf("live offset %d", off), s); !sameResults(got, all[want:]) {
+			t.Fatalf("live offset %d: pushed %d results, want %d (Results()[%d:])", off, len(got), len(all)-want, want)
 		}
-		if s.sink.err != nil {
-			t.Fatalf("offset %d: %v", s.off, s.sink.err)
+	}
+	for _, off := range []int{0, 3, 5, 6, 106, 32774, 32780, 32783, 40000} {
+		h := offsetLog(t, nil)
+		s := &frameSink{}
+		h.HandleSubscribe(wire.Subscribe{Offset: int64(off)}, s)
+		want := all[min(off, len(all)):]
+		if got := pushed(t, fmt.Sprintf("offset %d", off), s); !sameResults(got, want) {
+			t.Fatalf("offset %d: pushed %d results, want %d", off, len(got), len(want))
 		}
-		if dones != 1 {
-			t.Fatalf("offset %d: %d Done frames, want 1", s.off, dones)
-		}
-		if want := all[s.want:]; !sameResults(got, want) {
-			t.Fatalf("offset %d: pushed %d results, want %d (Results()[%d:])", s.off, len(got), len(want), s.want)
+	}
+	for _, off := range []int{0, 3, 5, 6, 106, 32774, 32780, 32783, 40000} {
+		if got, want := pageFrom(t, ref, off), all[min(off, len(all)):]; !sameResults(got, want) {
+			t.Fatalf("OpResults from %d: %d results, want %d", off, len(got), len(want))
 		}
 	}
 
-	for _, off := range []int{0, 3, 5, 6, 106, 32774, 32780, 32783, 40000} {
-		var got []wire.WindowResult
-		for {
-			rep := h.HandleQuery(wire.Query{Op: wire.OpResults, Key: uint64(off + len(got))})
-			if !rep.Done || rep.Count != int64(len(all)) {
-				t.Fatalf("OpResults from %d: done %v, count %d", off, rep.Done, rep.Count)
-			}
-			if len(rep.Results) == 0 {
-				break
-			}
-			got = append(got, rep.Results...)
+	// A negative offset is refused like one below the floor: one frame,
+	// no results, and no registration, so nothing is released.
+	neg := &frameSink{}
+	h := offsetLog(t, func(h *FinalHandler) {
+		h.HandleSubscribe(wire.Subscribe{Offset: -1}, neg)
+	})
+	if len(neg.reps) != 1 || !neg.reps[0].Done || len(neg.reps[0].Results) != 0 || h.floor != 0 {
+		t.Fatalf("negative offset: %d frames %+v, floor %d; want one empty Done frame and nothing released",
+			len(neg.reps), neg.reps, h.floor)
+	}
+
+	// A subscriber at 0 is sent the pages of the first two marks, which
+	// are released (floor 6); its sink then fails, so it is dropped
+	// before the third mark and the later pages stay.
+	first := &frameSink{}
+	h = offsetLog(t, func(h *FinalHandler) {
+		h.HandleSubscribe(wire.Subscribe{}, first)
+		first.fail = true
+	})
+	const floor = 6
+	if h.floor != floor || len(h.subs) != 0 {
+		t.Fatalf("floor %d with %d subscribers, want %d with none", h.floor, len(h.subs), floor)
+	}
+	if got := pageFrom(t, h, floor); !sameResults(got, all[floor:]) {
+		t.Fatalf("OpResults from the floor: %d results, want %d", len(got), len(all)-floor)
+	}
+	if got := pageFrom(t, h, 32774); !sameResults(got, all[32774:]) {
+		t.Fatalf("OpResults from 32774: %d results, want %d", len(got), len(all)-32774)
+	}
+	for _, off := range []int{0, 5} {
+		if rep := h.HandleQuery(wire.Query{Op: wire.OpResults, Key: uint64(off)}); len(rep.Results) != 0 || rep.Floor != floor {
+			t.Fatalf("OpResults below the floor, from %d: %d results, floor %d", off, len(rep.Results), rep.Floor)
 		}
-		if want := all[min(off, len(all)):]; !sameResults(got, want) {
-			t.Fatalf("OpResults from %d: %d results, want %d", off, len(got), len(want))
+		s := &frameSink{}
+		h.HandleSubscribe(wire.Subscribe{Offset: int64(off)}, s)
+		if len(s.reps) != 1 || s.reps[0].Floor != floor || !s.reps[0].Done || len(s.reps[0].Results) != 0 || len(h.subs) != 0 {
+			t.Fatalf("session below the floor, at %d: %+v with %d registered; want one empty Done frame naming floor %d",
+				off, s.reps, len(h.subs), floor)
 		}
+	}
+	if rep := h.HandleQuery(wire.Query{Op: wire.OpCount, Key: 1000}); rep.Floor != floor || rep.Count != 0 {
+		t.Fatalf("OpCount after a release: %+v, want no count and floor %d", rep, floor)
+	}
+	var re *transport.ReleasedError
+	if _, err := h.Results(); !errors.As(err, &re) || re.Floor != floor {
+		t.Fatalf("Results after a release: %v, want a ReleasedError at floor %d", err, floor)
+	}
+	if f, kept := h.Retained(); f != floor || !sameResults(kept, all[floor:]) {
+		t.Fatalf("Retained: floor %d, %d results; want %d, %d", f, len(kept), floor, len(all)-floor)
+	}
+
+	// A session at the floor reads the rest; once it is sent everything
+	// the whole log is released, and the new floor is its end.
+	at := &frameSink{}
+	h.HandleSubscribe(wire.Subscribe{Offset: floor}, at)
+	if got := pushed(t, "session at the floor", at); !sameResults(got, all[floor:]) {
+		t.Fatalf("session at the floor: %d results, want %d", len(got), len(all)-floor)
+	}
+	if h.floor != len(all) || len(h.pages) != 0 {
+		t.Fatalf("after the session at the floor: floor %d, %d pages kept", h.floor, len(h.pages))
+	}
+	end := &frameSink{}
+	h.HandleSubscribe(wire.Subscribe{Offset: int64(len(all))}, end)
+	if got := pushed(t, "session at the end", end); len(got) != 0 {
+		t.Fatalf("session at the end: %d results", len(got))
+	}
+}
+
+// TestResultLogBoundedUnderSubscriber: with one live subscriber, every
+// page it has been sent is released, so however many windows close the
+// retained page bytes stay within one page — while the subscriber still
+// receives every result the same stream leaves in an unsubscribed
+// node's full log.
+func TestResultLogBoundedUnderSubscriber(t *testing.T) {
+	const windows, keys = 1200, 40
+	plan := MustPlan(Count{}, Spec{Size: 10})
+	h, err := plan.NewFinalHandler(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := plan.NewFinalHandler(1) // the same stream, never subscribed
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &frameSink{}
+	h.HandleSubscribe(wire.Subscribe{}, s)
+	retained := func(h *FinalHandler) (b int) {
+		for _, pg := range h.pages {
+			b += len(pg.b)
+		}
+		return b
+	}
+	onePage := 0 // bytes of the largest page one mark sealed
+	for w := int64(0); w < windows; w++ {
+		for _, x := range []*FinalHandler{h, full} {
+			for k := 0; k < keys; k++ {
+				x.HandlePartial(&wire.Partial{KeyHash: uint64(k), Key: fmt.Sprintf("k%03d", k), Start: w * 10, Count: w + int64(k)})
+			}
+			x.HandleMark(wire.Mark{WM: w*10 + 10})
+		}
+		onePage = max(onePage, len(full.pages[len(full.pages)-1].b))
+		if b := retained(h); b > onePage || len(h.pages) > 1 {
+			t.Fatalf("after window %d: %d pages of %d bytes retained, more than one page (%d bytes)",
+				w, len(h.pages), b, onePage)
+		}
+	}
+	h.HandleMark(wire.Mark{WM: math.MaxInt64})
+	full.HandleMark(wire.Mark{WM: math.MaxInt64})
+	want := mustResults(t, full)
+	if len(want) != windows*keys || retained(full) < windows*onePage/2 {
+		t.Fatalf("unsubscribed node: %d results in %d bytes", len(want), retained(full))
+	}
+	if got := pushed(t, "subscriber", s); !sameResults(got, want) {
+		t.Fatalf("subscriber got %d results, want %d", len(got), len(want))
+	}
+	if h.floor != len(want) {
+		t.Fatalf("floor %d after the stream, want %d", h.floor, len(want))
 	}
 }
 

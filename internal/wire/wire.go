@@ -356,6 +356,14 @@ type Reply struct {
 	// (OpStats, optional — trailing section id 4, same compatibility
 	// rule as the histograms and spans).
 	Telemetry *Telemetry
+	// Floor is the log offset of the first result a final node still
+	// retains: nonzero once it has released results every push
+	// subscriber was sent (OpResults, OpCount and a refused Subscribe).
+	// A read that starts below it would miss results, so clients fail
+	// it. Optional — trailing section id 5, written only when nonzero,
+	// so a node that has released nothing sends the frames it always
+	// did.
+	Floor int64
 }
 
 // Telemetry is a node's backpressure and progress snapshot, carried on
@@ -444,9 +452,12 @@ type CreditUpdate struct {
 // Reply frames (OpResults-shaped) whenever windows close, removing the
 // DrainResults poll from latency-sensitive consumers.
 type Subscribe struct {
-	// Offset is the index into the node's append-only result log at
-	// which pushes start (0: everything, including results that closed
-	// before the subscription).
+	// Offset is the index into the node's result log at which pushes
+	// start (0: everything, including results that closed before the
+	// subscription). The node releases results once every subscriber
+	// has been sent them, so an offset below its retention floor
+	// (Reply.Floor) is refused with one frame naming the floor; an
+	// offset past the log's end starts at the next result to close.
 	Offset int64
 }
 
@@ -692,7 +703,7 @@ func AppendReply(dst []byte, r *Reply) []byte {
 		dst = AppendResult(dst, &r.Results[i])
 	}
 	spanSec := r.Spans != nil || r.Proc != ""
-	if r.Lat != nil || r.Stale != nil || spanSec || r.Telemetry != nil {
+	if r.Lat != nil || r.Stale != nil || spanSec || r.Telemetry != nil || r.Floor != 0 {
 		// Trailing optional section: id-tagged entries so any subset can
 		// travel alone; pre-section decoders reject the trailing bytes
 		// cleanly and so simply predate these fields.
@@ -707,6 +718,9 @@ func AppendReply(dst []byte, r *Reply) []byte {
 			n++
 		}
 		if r.Telemetry != nil {
+			n++
+		}
+		if r.Floor != 0 {
 			n++
 		}
 		dst = append(dst, n)
@@ -755,6 +769,10 @@ func AppendReply(dst []byte, r *Reply) []byte {
 			if t.CreditWait != nil {
 				dst = appendHistBody(dst, t.CreditWait)
 			}
+		}
+		if r.Floor != 0 {
+			dst = append(dst, secIDFloor)
+			dst = binary.AppendUvarint(dst, uint64(r.Floor))
 		}
 	}
 	return finish(dst, start)
@@ -819,6 +837,7 @@ const (
 	histIDStale    byte = 2
 	secIDSpans     byte = 3
 	secIDTelemetry byte = 4
+	secIDFloor     byte = 5
 )
 
 func appendHist(dst []byte, id byte, h *LatencyHist) []byte {
@@ -1313,6 +1332,17 @@ func DecodeReply(b []byte) (Reply, error) {
 				if rep.Telemetry, err = decodeTelemetry(&r); err != nil {
 					return Reply{}, err
 				}
+			case secIDFloor:
+				f, err := r.uvarint()
+				if err != nil {
+					return Reply{}, err
+				}
+				// The encoder writes only a positive floor; anything else
+				// would not re-encode to the same bytes.
+				if f == 0 || f > math.MaxInt64 {
+					return Reply{}, fmt.Errorf("wire: reply floor %d out of range", f)
+				}
+				rep.Floor = int64(f)
 			default:
 				return Reply{}, fmt.Errorf("wire: unknown reply section id %d", id)
 			}

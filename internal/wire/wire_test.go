@@ -111,6 +111,9 @@ func encodeAll(t testing.TB) [][]byte {
 		page = AppendResult(page, &r)
 	}
 	add(append(AppendResultsHeader(nil, 7, true, 3, len(page)), page...), nil)
+	// A final node's reply once it has released results: the floor
+	// travels in the trailing section.
+	add(AppendReply(nil, &Reply{Op: OpResults, Count: 40000, Done: true, Floor: 32774}), nil)
 	return frames
 }
 
